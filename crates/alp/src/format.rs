@@ -8,24 +8,30 @@
 //! Layout (all integers little-endian):
 //! ```text
 //! "ALP2" | bits:u8 | len:u64 | rowgroups:u32
-//! per row-group: rg_len:u32 | checksum:u64 (XXH64 of the rg_len body bytes)
+//! per row-group: one frame, rg_len:u32 | checksum:u64 (XXH64 of the body) | body
 //!   body: scheme:u8 (0=ALP, 1=ALP_rd) | vectors:u32 | ...
 //!   ALP vector : e:u8 f:u8 width:u8 len:u16 base:i64 exc:u16
 //!                packed[16*width] exc_pos[exc] exc_val[exc]
 //!   RD header  : left_width:u8 code_width:u8 dict_len:u8 dict[dict_len]:u16
 //!   RD vector  : len:u16 exc:u16 packed_codes packed_right exc_pos exc_left
+//! parity-protected columns only ([`to_bytes_with_parity`]):
+//!   one "ALPP" parity frame per group, after the last row-group frame
+//!   terminator | commit footer | frame table      (see crate::frame)
 //! ```
 //!
 //! The legacy `ALP1` layout — identical except row-group bodies follow each
 //! other directly, with no length/checksum frame — is still accepted by
 //! [`from_bytes`]. The per-row-group frame serves two purposes: bit-rot in a
 //! payload is *detected* (a flipped packed bit otherwise decodes to plausible
-//! garbage), and [`from_bytes_salvage`] can resync past a damaged row-group
-//! using the length prefix and recover the rest of the column.
+//! garbage), and [`from_bytes_salvage`] delimits the frames through the
+//! shared [frame layer](crate::frame) to recover the rest of the column.
+//! Strict readers stop after the header's row-group count, so they never
+//! look at parity frames, footer, or table.
 
 use crate::encode::{AlpVector, ExcArena, ExcView};
+use crate::frame::{self, FrameLog, Layout};
 use crate::hash::{xxh64, CHECKSUM_SEED};
-use crate::parity::{self, ParityAccumulator, ParityConfig};
+use crate::parity::ParityConfig;
 use crate::rd::{RdMeta, RdVector};
 use crate::rowgroup::{AlpGroup, Compressed, RowGroup};
 use crate::sampler::ConfigError;
@@ -98,23 +104,18 @@ pub fn to_bytes<F: AlpFloat>(c: &Compressed<F>) -> Vec<u8> {
     out.put_u8(F::BITS as u8);
     out.put_u64_le(c.len as u64);
     out.put_u32_le(c.rowgroups.len() as u32);
-    let mut body = Vec::new();
     for rg in &c.rowgroups {
-        body.clear();
-        write_rowgroup::<F>(&mut body, rg);
-        out.put_u32_le(body.len() as u32);
-        out.put_u64_le(xxh64(&body, CHECKSUM_SEED));
-        out.put_slice(&body);
+        frame::encode(&mut out, |body| write_rowgroup::<F>(body, rg));
     }
     out
 }
 
-/// Serializes a compressed column like [`to_bytes`], then appends an XOR
-/// parity section: one checksummed `"ALPP"` parity frame (see
-/// [`crate::parity`]) per `parity.group_size` data frames, the last group
-/// possibly partial. The section trails the payload, so readers that predate
-/// parity — strict and salvage alike — never look at it; parity-aware
-/// salvage ([`from_bytes_salvage`]) uses it to reconstruct any *single*
+/// Serializes a compressed column like [`to_bytes`], then appends one
+/// checksummed `"ALPP"` parity frame (see [`crate::parity`]) per
+/// `parity.group_size` data frames, the last group possibly partial, and
+/// the terminator, commit footer, and frame table of [`crate::frame`].
+/// Strict readers stop at the last row-group frame and never look at what
+/// follows; [`from_bytes_salvage`] uses it to reconstruct any *single*
 /// damaged row-group per group byte-identically.
 ///
 /// Returns [`ConfigError`] when the group size is out of range.
@@ -123,34 +124,20 @@ pub fn to_bytes_with_parity<F: AlpFloat>(
     parity: ParityConfig,
 ) -> Result<Vec<u8>, ConfigError> {
     parity.validate()?;
-    let mut out = Vec::with_capacity(c.compressed_bits() / 8 + 64);
-    out.put_slice(MAGIC);
-    out.put_u8(F::BITS as u8);
-    out.put_u64_le(c.len as u64);
-    out.put_u32_le(c.rowgroups.len() as u32);
-    let mut acc = ParityAccumulator::new(parity.group_size);
+    let mut out = to_bytes(c);
+    let mut log = FrameLog::new(Some(parity.group_size));
     let mut pframes = Vec::new();
-    let mut body = Vec::new();
-    for rg in &c.rowgroups {
-        body.clear();
-        write_rowgroup::<F>(&mut body, rg);
-        let frame_start = out.len();
-        out.put_u32_le(body.len() as u32);
-        out.put_u64_le(xxh64(&body, CHECKSUM_SEED));
-        out.put_slice(&body);
-        if let Some(frame) = out.get(frame_start..) {
-            acc.absorb(frame);
-        }
-        if acc.is_full() {
-            if let Some(pf) = acc.take_frame() {
-                pframes.extend_from_slice(&pf);
-            }
-        }
+    let mut rest = out.get(HEADER_LEN..).unwrap_or_default();
+    while let Some((data, tail)) = frame::split_frame(rest) {
+        pframes.extend(log.data(data));
+        rest = tail;
     }
-    if let Some(pf) = acc.take_frame() {
-        pframes.extend_from_slice(&pf);
+    pframes.extend(log.close());
+    for pframe in &pframes {
+        log.parity(pframe);
+        out.extend_from_slice(pframe);
     }
-    out.extend_from_slice(&pframes);
+    log.write_tail(&mut out, c.len as u64, c.rowgroups.len() as u32);
     Ok(out)
 }
 
@@ -242,14 +229,18 @@ enum Version {
     V2,
 }
 
+/// Bytes before the first row-group: magic, width, length, row-group count.
+const HEADER_LEN: usize = 4 + 1 + 8 + 4;
+
 /// Parsed column header (shared by strict and salvage readers).
 struct Header {
     version: Version,
+    bits: u8,
     len: usize,
     rg_count: usize,
 }
 
-fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
+fn read_header_any(buf: &mut &[u8]) -> Result<Header, FormatError> {
     if buf.len() < 4 {
         return Err(FormatError::Truncated);
     }
@@ -264,28 +255,22 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
         return Err(FormatError::Truncated);
     }
     let bits = buf.get_u8();
-    if u32::from(bits) != F::BITS {
-        // ANALYZER-ALLOW(no-panic): F::BITS is 32 or 64, always fits in u8.
-        return Err(FormatError::WidthMismatch { found: bits, expected: F::BITS as u8 });
-    }
     let len = buf.get_u64_le() as usize;
     let rg_count = buf.get_u32_le() as usize;
-    Ok(Header { version, len, rg_count })
+    Ok(Header { version, bits, len, rg_count })
 }
 
-/// Verifies and parses one already-delimited `ALP2` frame body: checksum
-/// first, then a full-body parse. This is the per-morsel work unit of
-/// [`from_bytes_salvage_parallel`] — it touches nothing outside `body`, so
-/// frames verify and decode independently.
-fn decode_frame<F: AlpFloat>(
-    body: &[u8],
-    stored: u64,
-    index: usize,
-) -> Result<RowGroup, FormatError> {
-    let computed = xxh64(body, CHECKSUM_SEED);
-    if computed != stored {
-        return Err(FormatError::ChecksumMismatch { rowgroup: index, stored, computed });
+fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
+    let header = read_header_any(buf)?;
+    if u32::from(header.bits) != F::BITS {
+        // ANALYZER-ALLOW(no-panic): F::BITS is 32 or 64, always fits in u8.
+        return Err(FormatError::WidthMismatch { found: header.bits, expected: F::BITS as u8 });
     }
+    Ok(header)
+}
+
+/// Parses one row-group body that must fill its frame exactly.
+pub(crate) fn read_body<F: AlpFloat>(body: &[u8]) -> Result<RowGroup, FormatError> {
     let mut cursor = body;
     let rg = read_rowgroup::<F>(&mut cursor)?;
     if !cursor.is_empty() {
@@ -301,198 +286,30 @@ fn read_framed_rowgroup<F: AlpFloat>(
     buf: &mut &[u8],
     index: usize,
 ) -> Result<RowGroup, FormatError> {
-    if buf.len() < 4 + 8 {
-        return Err(FormatError::Truncated);
+    let (whole, rest) = frame::split_frame(buf).ok_or(FormatError::Truncated)?;
+    let stored = frame::u64_at(whole, 4).ok_or(FormatError::Truncated)?;
+    let body = whole.get(frame::PREFIX_LEN..).unwrap_or_default();
+    let computed = xxh64(body, CHECKSUM_SEED);
+    if computed != stored {
+        return Err(FormatError::ChecksumMismatch { rowgroup: index, stored, computed });
     }
-    let rg_len = buf.get_u32_le() as usize;
-    let stored = buf.get_u64_le();
-    let Some(body) = buf.get(..rg_len) else {
-        return Err(FormatError::Truncated);
-    };
-    let rg = decode_frame::<F>(body, stored, index)?;
-    buf.advance(rg_len);
+    let rg = read_body::<F>(body)?;
+    *buf = rest;
     Ok(rg)
 }
 
-/// One delimited `ALP2` frame: the whole frame bytes (the XOR unit of parity
-/// repair) plus its parsed pieces. For a frame whose *length prefix* was
-/// corrupted, `whole` is the opaque damaged region up to the next trustworthy
-/// boundary and `stored`/`body` are best-effort views into it.
-struct LocatedFrame<'a> {
-    /// `rg_len:u32 | checksum:u64 | body`, exactly as written.
-    whole: &'a [u8],
-    stored: u64,
-    body: &'a [u8],
-}
-
-/// Delimits the frame starting at `off`, bounded by `end`: `Some` when the
-/// 12-byte prefix is present and the recorded length lands inside the region.
-fn frame_at(buf: &[u8], off: usize, end: usize) -> Option<LocatedFrame<'_>> {
-    let region = buf.get(off..end)?;
-    let rg_len = u32::from_le_bytes(region.get(..4)?.try_into().ok()?) as usize;
-    let stored = u64::from_le_bytes(region.get(4..12)?.try_into().ok()?);
-    let total = 12usize.checked_add(rg_len)?;
-    let whole = region.get(..total)?;
-    let body = whole.get(12..)?;
-    Some(LocatedFrame { whole, stored, body })
-}
-
-/// Whether a checksum-verified frame starts at `off` — the resync probe for
-/// re-finding byte alignment after a corrupted length prefix.
-fn verified_frame_at(buf: &[u8], off: usize, end: usize) -> bool {
-    frame_at(buf, off, end).is_some_and(|f| xxh64(f.body, CHECKSUM_SEED) == f.stored)
-}
-
-/// Locates the parity section: the first offset where a checksum-verified
-/// `"ALPP"` parity frame begins. The magic sits at body position (12 bytes
-/// into the frame); the checksum plus the body-layout parse make a false
-/// positive inside packed float data vanishingly unlikely.
-fn find_parity_section(buf: &[u8]) -> Option<usize> {
-    let mut search = 0usize;
-    while let Some(rel) =
-        buf.get(search..)?.windows(4).position(|w| w == parity::PARITY_MAGIC.as_slice())
-    {
-        let pos = search + rel;
-        if let Some(start) = pos.checked_sub(12) {
-            if let Some(f) = frame_at(buf, start, buf.len()) {
-                if xxh64(f.body, CHECKSUM_SEED) == f.stored
-                    && parity::parse_parity_body(f.body).is_some()
-                {
-                    return Some(start);
-                }
-            }
-        }
-        search = pos + 1;
-    }
-    None
-}
-
-/// Walks the parity section starting at `off`: one entry per parity group,
-/// in group order. A damaged parity frame with a plausible length becomes
-/// `None` (its group is simply unprotected); an implausible length ends the
-/// walk, since group order past it cannot be trusted. Returns the parsed
-/// sections and the writer's group size (0 when none parsed).
-fn parse_parity_frames(buf: &[u8], mut off: usize) -> (Vec<Option<parity::ParityBody<'_>>>, usize) {
-    let mut sections = Vec::new();
-    let mut group_size = 0usize;
-    while off < buf.len() {
-        let Some(f) = frame_at(buf, off, buf.len()) else { break };
-        off += f.whole.len();
-        if xxh64(f.body, CHECKSUM_SEED) == f.stored {
-            if let Some(pb) = parity::parse_parity_body(f.body) {
-                group_size = group_size.max(pb.group_size);
-                sections.push(Some(pb));
-                continue;
-            }
-        }
-        sections.push(None);
-    }
-    (sections, group_size)
-}
-
-/// The parity group size advertised by `buf`'s trailing parity section, when
-/// the column carries one (located by magic scan and checksum-verified).
-/// `None` for unprotected or unrecognizable buffers — callers use this to
-/// re-encode a repaired column with the same protection it had.
+/// The parity group size of an `ALP2` column: read from its frame table,
+/// falling back to its first verified parity frame. `None` for unprotected
+/// or unrecognizable buffers — callers use this to re-encode a repaired
+/// column with the same protection it had.
 pub fn parity_group_size(buf: &[u8]) -> Option<usize> {
-    let start = find_parity_section(buf)?;
-    let (sections, group_size) = parse_parity_frames(buf, start);
-    if sections.is_empty() || group_size == 0 {
+    let mut cursor = buf;
+    let header = read_header_any(&mut cursor).ok()?;
+    if header.version != Version::V2 {
         return None;
     }
-    Some(group_size)
-}
-
-/// Serial frame-boundary walk over the `ALP2` data region `[0, data_end)`,
-/// delimiting up to `rg_count` frames by their length prefixes (cheap — no
-/// checksumming, no parsing).
-///
-/// Without a parity section (`can_resync == false`) this matches the
-/// historical scan: the walk ends at the first implausible length, and
-/// everything past it is lost. With one, the walk *resyncs* instead: the
-/// damaged stretch up to the next checksum-verified frame start (or the
-/// section itself) is recorded as one opaque damaged frame — parity can
-/// reconstruct it — and the walk continues on the re-found alignment.
-fn locate_data_frames(
-    buf: &[u8],
-    data_end: usize,
-    rg_count: usize,
-    can_resync: bool,
-) -> Vec<LocatedFrame<'_>> {
-    let mut frames: Vec<LocatedFrame<'_>> = Vec::with_capacity(rg_count.min(1 << 20));
-    let mut off = 0usize;
-    while frames.len() < rg_count && off < data_end {
-        if let Some(f) = frame_at(buf, off, data_end) {
-            off += f.whole.len();
-            frames.push(f);
-            continue;
-        }
-        if !can_resync {
-            break;
-        }
-        // Corrupted length prefix. The smallest real frame is 12 + 1 bytes,
-        // so the next boundary is at least 13 bytes on.
-        let resync = (off + 13..data_end).find(|&s| verified_frame_at(buf, s, data_end));
-        let span_end = resync.unwrap_or(data_end);
-        let whole = buf.get(off..span_end).unwrap_or(&[]);
-        let stored =
-            whole.get(4..12).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes).unwrap_or(0);
-        let body = whole.get(12..).unwrap_or(&[]);
-        frames.push(LocatedFrame { whole, stored, body });
-        off = span_end;
-    }
-    frames
-}
-
-/// Reconstructs, per parity group, the single damaged data frame (if any)
-/// from the group's intact frame bytes and its XOR block, decoding the
-/// repaired bytes through the same checksum-verified path as an on-disk
-/// frame. Successfully repaired indices land in `decoded` and `repaired`.
-fn repair_groups<F: AlpFloat>(
-    frames: &[LocatedFrame<'_>],
-    decoded: &mut [Option<RowGroup>],
-    repaired: &mut Vec<usize>,
-    sections: &[Option<parity::ParityBody<'_>>],
-    group_size: usize,
-    rg_count: usize,
-) {
-    if group_size == 0 {
-        return;
-    }
-    for (g, section) in sections.iter().enumerate() {
-        let Some(pb) = section else { continue };
-        let Some(start) = g.checked_mul(group_size) else { break };
-        let Some(group_end) = start.checked_add(pb.count) else { break };
-        let members = start..group_end.min(rg_count);
-        let damaged: Vec<usize> =
-            members.clone().filter(|&i| decoded.get(i).is_none_or(|d| d.is_none())).collect();
-        let Some(&victim) = damaged.first() else { continue };
-        if damaged.len() != 1 {
-            continue; // >= 2 faults in one group: beyond the protection level
-        }
-        let intact: Vec<&[u8]> = members
-            .clone()
-            .filter(|&i| i != victim)
-            .filter_map(|i| frames.get(i).map(|f| f.whole))
-            .collect();
-        if intact.len() + 1 != pb.count {
-            continue; // a member is missing entirely: cannot trust the XOR
-        }
-        let Some(rebuilt) = parity::try_repair_frame(pb.xor, &intact) else { continue };
-        let Some(stored) =
-            rebuilt.get(4..12).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes)
-        else {
-            continue;
-        };
-        let Some(body) = rebuilt.get(12..) else { continue };
-        if let Ok(rg) = decode_frame::<F>(body, stored, victim) {
-            if let Some(slot) = decoded.get_mut(victim) {
-                *slot = Some(rg);
-                repaired.push(victim);
-            }
-        }
-    }
-    repaired.sort_unstable();
+    let walk = frame::walk(buf, HEADER_LEN, Layout::Column { rowgroups: header.rg_count });
+    (walk.group_size > 0).then_some(walk.group_size)
 }
 
 /// Deserializes a column previously produced by [`to_bytes`] (or the legacy
@@ -546,19 +363,19 @@ impl<F: AlpFloat> Salvage<F> {
 /// Best-effort deserialization: skips damaged row-groups instead of failing,
 /// returning the survivors and exactly which row-groups were lost.
 ///
-/// With the `ALP2` layout the length prefix of each integrity frame allows
-/// resyncing past a damaged body, so one flipped bit costs *at most* one
-/// row-group — and when the column carries a parity section
-/// ([`to_bytes_with_parity`]), a group's single damaged row-group is
-/// XOR-reconstructed byte-identically and reported in
-/// [`Salvage::repaired_rowgroups`] instead of lost. Two or more damaged
-/// row-groups in one parity group are beyond the protection level and
-/// degrade to the loss report. A frame whose *length field itself* is
-/// implausible ends recovery on parity-less columns; with parity, the reader
-/// rescans for the next checksum-verified frame boundary and continues.
-/// Legacy `ALP1` columns have no frames, so the first damaged row-group ends
-/// recovery outright. A damaged header is unrecoverable and returns `Err`
-/// like [`from_bytes`].
+/// With the `ALP2` layout the [frame layer](crate::frame) delimits every
+/// integrity frame, so one flipped bit costs *at most* one row-group — and
+/// when the column carries parity ([`to_bytes_with_parity`]), a group's
+/// single damaged row-group is XOR-reconstructed byte-identically and
+/// reported in [`Salvage::repaired_rowgroups`] instead of lost. Two or more
+/// damaged row-groups in one parity group are beyond the protection level
+/// and degrade to the loss report. A parity column's frame table delimits
+/// the frames even past a corrupted length prefix; the restored row-group is
+/// reported repaired. Without a table (unprotected or older columns, torn
+/// files) an implausible length prefix ends recovery, and every row-group
+/// after it is reported lost. Legacy `ALP1` columns have no frames, so the
+/// first damaged row-group ends recovery outright. A damaged header is
+/// unrecoverable and returns `Err` like [`from_bytes`].
 ///
 /// Single-threaded shorthand for [`from_bytes_salvage_parallel`].
 pub fn from_bytes_salvage<F: AlpFloat>(buf: &[u8]) -> Result<Salvage<F>, FormatError> {
@@ -566,16 +383,17 @@ pub fn from_bytes_salvage<F: AlpFloat>(buf: &[u8]) -> Result<Salvage<F>, FormatE
 }
 
 /// [`from_bytes_salvage`] on up to `threads` morsel-claiming workers: a
-/// serial scan walks the `ALP2` length prefixes to find frame boundaries
-/// (cheap — no checksums, no parsing), then checksum verification and body
-/// decoding of the discovered frames fan out over the morsel scheduler, one
-/// frame per morsel. `threads <= 1` never spawns. The salvage report is
-/// identical to the serial path's for any input; legacy `ALP1` columns have
-/// no frame boundaries to scan, so they always walk serially.
+/// serial walk delimits the `ALP2` frames (cheap — no checksums, no
+/// parsing), then checksum verification and body decoding of the data
+/// frames fan out over the morsel scheduler, one frame per morsel.
+/// `threads <= 1` never spawns. The salvage report is identical to the
+/// serial path's for any input; legacy `ALP1` columns have no frame
+/// boundaries to walk, so they always read serially.
 pub fn from_bytes_salvage_parallel<F: AlpFloat>(
-    mut buf: &[u8],
+    all: &[u8],
     threads: usize,
 ) -> Result<Salvage<F>, FormatError> {
+    let mut buf = all;
     let header = read_header::<F>(&mut buf)?;
     // A corrupt header can claim billions of row-groups; clamp the loss report
     // to what the buffer could physically hold (smallest body is 5 bytes).
@@ -589,40 +407,17 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     let mut repaired = Vec::new();
     match header.version {
         Version::V2 => {
-            // Phase 1 (serial): find the trailing parity section, if any,
-            // then delimit the data frames — resyncing past corrupted length
-            // prefixes only when parity bounds the data region.
-            let pstart = find_parity_section(buf);
-            let data_end = pstart.unwrap_or(buf.len());
-            let frames = locate_data_frames(buf, data_end, rg_count, pstart.is_some());
-            // Phase 2: verify + decode every delimited frame independently.
-            let mut decoded = crate::par::map_morsels(
-                threads,
-                frames.len(),
-                || (),
-                |(), m| {
-                    let frame = frames.get(m)?;
-                    decode_frame::<F>(frame.body, frame.stored, m).ok()
-                },
-            );
-            decoded.resize_with(rg_count, || None);
-            // Phase 3 (serial): XOR-reconstruct the single damaged frame of
-            // any group whose parity frame survived.
-            if let Some(pstart) = pstart {
-                let (sections, group_size) = parse_parity_frames(buf, pstart);
-                repair_groups::<F>(
-                    &frames,
-                    &mut decoded,
-                    &mut repaired,
-                    &sections,
-                    group_size,
-                    rg_count,
-                );
-            }
-            for (i, rg) in decoded.into_iter().enumerate() {
+            // Serial frame location, then checksum + decode fanned out over
+            // the morsel workers, then serial parity repair.
+            let walk = frame::walk(all, HEADER_LEN, Layout::Column { rowgroups: rg_count });
+            let (mut slots, rebuilt) =
+                frame::recover(&walk, threads, |body| read_body::<F>(body).ok());
+            slots.resize_with(rg_count, || None);
+            repaired = rebuilt.into_iter().filter(|&i| i < rg_count).collect();
+            for (i, rg) in slots.into_iter().enumerate() {
                 match rg {
                     Some(rg) => rowgroups.push(rg),
-                    // Damaged beyond repair (or beyond the scan): lost.
+                    // Damaged beyond repair (or beyond the walk): lost.
                     None => lost.push(i),
                 }
             }
@@ -1073,7 +868,7 @@ mod tests {
         let spans = data_frame_spans(&clean, 13);
         let mut bytes = clean.clone();
         // Make frame 5's length implausible (runs past the buffer) AND
-        // damage its body so resync alone cannot recover it.
+        // damage its body so the frame table alone cannot recover it.
         let (s, e) = spans[5];
         bytes[s..s + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         bytes[s + 20] ^= 0xFF;
@@ -1081,12 +876,29 @@ mod tests {
         assert_eq!(salvage.repaired_rowgroups, vec![5]);
         assert!(salvage.lost_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
-        // With only the length corrupted, resync re-finds the true frame and
-        // no parity repair is even needed.
+        // With only the length corrupted, the frame table restores it: the
+        // body verifies as written, and the frame is still reported repaired.
         let mut bytes = clean.clone();
         bytes[s..s + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let _ = e;
         let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        assert_eq!(salvage.repaired_rowgroups, vec![5]);
+        assert!(salvage.lost_rowgroups.is_empty());
+        assert_bit_exact(&data, &salvage.column.decompress());
+    }
+
+    #[test]
+    fn pre_table_columns_still_repair_body_damage() {
+        let (data, clean) = parity_column_bytes();
+        let spans = data_frame_spans(&clean, 13);
+        // A column written before the frame table: its parity frames end the
+        // file (13 data + 4 parity frames were logged).
+        let mut bytes = clean[..clean.len() - crate::frame::tail_len(17)].to_vec();
+        let (s, e) = spans[6];
+        bytes[s + 12 + (e - s) / 2] ^= 0x40;
+        assert_eq!(parity_group_size(&bytes), Some(4));
+        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        assert_eq!(salvage.repaired_rowgroups, vec![6]);
         assert!(salvage.lost_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
     }

@@ -439,24 +439,31 @@ pub fn read_full_retry<R: Read + ?Sized>(
     Ok(())
 }
 
-/// Like [`read_full_retry`], but a short source is not an error: returns
-/// the bytes filled, so a salvage reader can classify a torn tail from the
-/// partial frame it did get. Transient and hard faults behave identically
-/// to [`read_full_retry`].
-pub(crate) fn read_best_effort<R: Read + ?Sized>(
+/// Appends up to `limit` bytes from `source` to `buf` and returns how many
+/// arrived; fewer only when the source ends first. The buffer grows as bytes
+/// arrive, never ahead of them, so an untrusted `limit` (a corrupted length
+/// prefix) costs no allocation beyond the bytes actually present. Transient
+/// and hard faults behave as in [`read_full_retry`], except that the
+/// transient budget renews whenever bytes arrive: it bounds a stall, not the
+/// length of the input.
+pub(crate) fn read_growing<R: Read + ?Sized>(
     source: &mut R,
-    buf: &mut [u8],
+    buf: &mut Vec<u8>,
+    limit: usize,
     policy: &RetryPolicy,
 ) -> io::Result<usize> {
-    let mut filled = 0usize;
+    let mut chunk = [0u8; 16 * 1024];
+    let mut got = 0usize;
     let mut transients = 0u32;
-    while let Some(rest) = buf.get_mut(filled..) {
-        if rest.is_empty() {
-            break;
-        }
-        match source.read(rest) {
+    while got < limit {
+        let want = (limit - got).min(chunk.len());
+        match source.read(chunk.get_mut(..want).unwrap_or_default()) {
             Ok(0) => break,
-            Ok(n) => filled += n,
+            Ok(n) => {
+                buf.extend_from_slice(chunk.get(..n).unwrap_or_default());
+                got += n;
+                transients = 0;
+            }
             Err(e) if is_transient(&e) => {
                 transients += 1;
                 if transients > policy.max_attempts {
@@ -467,7 +474,7 @@ pub(crate) fn read_best_effort<R: Read + ?Sized>(
             Err(e) => return Err(e),
         }
     }
-    Ok(filled)
+    Ok(got)
 }
 
 /// Writes all of `buf`, absorbing up to `policy.max_attempts` transient

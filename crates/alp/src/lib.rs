@@ -29,6 +29,8 @@
 //! * [`rd`] — ALP_rd for real doubles, §3.4.
 //! * [`rowgroup`] — the column-level [`Compressor`] tying it together.
 //! * [`mod@format`] — byte serialization of compressed columns.
+//! * [`frame`] — the frame layer both framed layouts share: frame table,
+//!   salvage walk, and parity repair.
 //! * [`cascade`] — Dictionary/RLE cascades (the "LWC+ALP" column of Table 4).
 //! * [`stream`] — incremental `std::io` writer/reader (one row-group in memory).
 //! * [`mod@io`] — fault injection, bounded retry, and the fault taxonomy.
@@ -43,6 +45,7 @@ pub mod cascade;
 pub mod decode;
 pub mod encode;
 pub mod format;
+pub mod frame;
 pub mod hash;
 pub mod io;
 pub mod par;

@@ -1,17 +1,18 @@
 //! XOR erasure protection for framed row-groups — the repair half of the
 //! durability story (checksums detect, salvage contains, parity *repairs*).
 //!
-//! A writer configured with [`ParityConfig`] emits, after every
-//! `group_size` row-group frames, one **parity frame** whose body is:
+//! A writer configured with [`ParityConfig`] emits one **parity frame** per
+//! `group_size` row-group frames — after each group in a stream, after the
+//! last row-group in a column (see [`crate::frame`]) — whose body is:
 //!
 //! ```text
 //! "ALPP" | group_size:u8 | count:u8 | max_len:u32 | xor[max_len]
 //! ```
 //!
-//! `xor` is the byte-wise XOR of the `count` preceding frames — each taken
+//! `xor` is the byte-wise XOR of the group's `count` data frames — each taken
 //! *whole*, length prefix and checksum included — zero-padded to the longest
 //! (`max_len`). The parity frame itself is framed exactly like a row-group
-//! (`len:u32 | xxh64:u64 | body`), so readers that predate parity resync
+//! (`len:u32 | xxh64:u64 | body`), so readers that predate parity skip
 //! past it as an ordinary unparseable frame, and parity-aware readers
 //! recognize it unambiguously: row-group bodies always start with a scheme
 //! tag (`0` or `1`), never `'A'`.
@@ -23,7 +24,6 @@
 //! more damaged frames in one group are beyond the protection level and
 //! degrade to the pre-parity loss report.
 
-use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::sampler::ConfigError;
 
 /// Magic prefix of a parity frame body.
@@ -77,9 +77,7 @@ impl ParityAccumulator {
         if frame.len() > self.acc.len() {
             self.acc.resize(frame.len(), 0);
         }
-        for (a, b) in self.acc.iter_mut().zip(frame) {
-            *a ^= *b;
-        }
+        xor_into(&mut self.acc, frame);
         self.count += 1;
     }
 
@@ -95,17 +93,15 @@ impl ParityAccumulator {
         if self.count == 0 {
             return None;
         }
-        let body_len = PARITY_BODY_HEADER + self.acc.len();
-        let mut frame = Vec::with_capacity(4 + 8 + body_len);
-        frame.extend_from_slice(&(body_len as u32).to_le_bytes());
-        frame.extend_from_slice(&[0u8; 8]); // checksum backfilled below
-        frame.extend_from_slice(PARITY_MAGIC);
-        frame.push(self.group_size as u8);
-        frame.push(self.count as u8);
-        frame.extend_from_slice(&(self.acc.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&self.acc);
-        let checksum = xxh64(&frame[12..], CHECKSUM_SEED);
-        frame[4..12].copy_from_slice(&checksum.to_le_bytes());
+        let mut frame =
+            Vec::with_capacity(crate::frame::PREFIX_LEN + PARITY_BODY_HEADER + self.acc.len());
+        crate::frame::encode(&mut frame, |body| {
+            body.extend_from_slice(PARITY_MAGIC);
+            body.push(self.group_size as u8);
+            body.push(self.count as u8);
+            body.extend_from_slice(&(self.acc.len() as u32).to_le_bytes());
+            body.extend_from_slice(&self.acc);
+        });
         self.acc.clear();
         self.count = 0;
         Some(frame)
@@ -147,6 +143,35 @@ pub(crate) fn parse_parity_body(body: &[u8]) -> Option<ParityBody<'_>> {
     Some(ParityBody { group_size, count, xor })
 }
 
+/// XORs `src` into the front of `acc` (bytes of `src` past `acc`'s end are
+/// ignored): the one XOR loop behind every parity block, built or undone.
+pub fn xor_into(acc: &mut [u8], src: &[u8]) {
+    for (a, b) in acc.iter_mut().zip(src) {
+        *a ^= *b;
+    }
+}
+
+/// Damage within one parity group, as XOR parity sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GroupDamage {
+    /// No member is damaged.
+    Intact,
+    /// Exactly this member is damaged: one XOR block rebuilds it.
+    One(usize),
+    /// Two or more members are damaged: beyond the protection level.
+    Beyond,
+}
+
+/// Classifies a group from the indices of its damaged members.
+pub fn group_damage(damaged: impl IntoIterator<Item = usize>) -> GroupDamage {
+    let mut damaged = damaged.into_iter();
+    match (damaged.next(), damaged.next()) {
+        (None, _) => GroupDamage::Intact,
+        (Some(victim), None) => GroupDamage::One(victim),
+        (Some(_), Some(_)) => GroupDamage::Beyond,
+    }
+}
+
 /// Reconstructs the single missing frame of a parity group: XORs the parity
 /// block with every intact frame, then self-verifies the result against its
 /// own reconstructed length prefix and stored checksum. `None` when the
@@ -160,25 +185,16 @@ pub(crate) fn try_repair_frame(xor: &[u8], intact: &[&[u8]]) -> Option<Vec<u8>> 
             // absorbed into it: the group is inconsistent.
             return None;
         }
-        for (a, b) in buf.iter_mut().zip(*frame) {
-            *a ^= *b;
-        }
+        xor_into(&mut buf, frame);
     }
-    let body_len = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
-    let total = 4usize.checked_add(8)?.checked_add(body_len)?;
-    if total > buf.len() {
-        return None;
-    }
-    let stored = u64::from_le_bytes(buf.get(4..12)?.try_into().ok()?);
-    let body = buf.get(12..total)?;
-    if xxh64(body, CHECKSUM_SEED) != stored {
-        return None;
-    }
+    let (frame, padding) = crate::frame::split_frame(&buf)?;
     // Bytes past the reconstructed frame are XORed padding and must cancel
     // to zero; a nonzero tail means the group's intact set was wrong.
-    if buf.get(total..)?.iter().any(|&b| b != 0) {
+    if padding.iter().any(|&b| b != 0) {
         return None;
     }
+    crate::frame::verified_body(frame)?;
+    let total = frame.len();
     buf.truncate(total);
     Some(buf)
 }
@@ -186,6 +202,7 @@ pub(crate) fn try_repair_frame(xor: &[u8], intact: &[&[u8]]) -> Option<Vec<u8>> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::{xxh64, CHECKSUM_SEED};
 
     /// Builds a V2-framed pseudo-frame (`len | xxh64 | body`) from a body.
     fn frame(body: &[u8]) -> Vec<u8> {

@@ -2,41 +2,41 @@
 //! row-group without ever materializing it, and read it back incrementally.
 //!
 //! The stream format is a sequence of self-contained frames followed by a
-//! commit footer:
+//! commit footer and a frame table:
 //!
 //! ```text
 //! "ALPT" | bits:u8 | { frame_len:u32 | xxh64:u64 | row-group bytes }* | frame_len = 0
 //! "ALPF" | values:u64 | rowgroups:u32 | xxh64:u64            (commit footer)
+//! "ALPX" | ... | table_len:u32 | xxh64:u64                   (frame table)
 //! ```
 //!
 //! Each frame holds one serialized row-group (see [`crate::format`]) plus the
-//! [XXH64](crate::hash) checksum of its bytes, so a reader needs only one
-//! row-group of memory at a time, can stop early, and detects payload
-//! corruption before handing data out. Because every frame is
-//! length-prefixed, a reader can also *resync* past a damaged frame — see
-//! [`ColumnReader::next_rowgroup_salvaged`] — losing exactly the row-groups
-//! whose frames were hit.
+//! [XXH64](crate::hash) checksum of its bytes, so the strict reader needs
+//! only one row-group of memory at a time, can stop early, and detects
+//! payload corruption before handing data out. The frames, footer, and table
+//! are those of the shared [frame layer](crate::frame), which also serves
+//! [`ColumnReader::next_rowgroup_salvaged`]: it delimits the frames by the
+//! table, losing exactly the row-groups whose frames were hit.
 //!
-//! The commit footer is written only by [`ColumnWriter::finish`], so its
-//! presence (checked by [`ColumnReader::is_committed`]) distinguishes a
-//! cleanly finished stream from one whose writer died mid-row-group: a torn
-//! write can never fabricate the footer's magic, counts, and checksum. Both
+//! The footer and table are written only by [`ColumnWriter::finish`], so
+//! their presence distinguishes a cleanly finished stream from one whose
+//! writer died mid-row-group: a torn write can never fabricate the footer's
+//! magic, counts, and checksum (see [`ColumnReader::is_committed`]). Both
 //! ends absorb *transient* I/O faults (`Interrupted`, `WouldBlock`, short
 //! reads/writes) under a bounded [`RetryPolicy`](crate::io::RetryPolicy) and
 //! surface hard faults as [`StreamError::Io`]; see [`crate::io`] for the
 //! taxonomy.
 //!
 //! Legacy `"ALPS"` streams (the pre-checksum layout, identical but with no
-//! `xxh64` field and no commit footer) are still read transparently.
+//! `xxh64` field, no footer, and no table) are still read transparently.
 //!
 //! Writers configured with a [`ParityConfig`](crate::parity::ParityConfig)
-//! additionally emit one `"ALPP"` parity frame per `group_size` row-group
-//! frames (see [`crate::parity`]), which upgrades
+//! additionally emit one `"ALPP"` parity frame after every `group_size`
+//! row-group frames (see [`crate::parity`]), which upgrades
 //! [`ColumnReader::next_rowgroup_salvaged`] from *skip and report* to
 //! *reconstruct, verify, and report repaired*: any single damaged frame per
-//! group comes back byte-identical. Readers that do not understand parity
-//! resync past the extra frames exactly as they would past damage, so the
-//! layout stays backward-compatible.
+//! group comes back byte-identical. The strict reader verifies and skips
+//! parity frames, so the layout stays backward-compatible.
 //!
 //! # Example
 //! ```
@@ -58,6 +58,7 @@
 //! assert_eq!(restored.len(), 500_000);
 //! ```
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
@@ -66,38 +67,23 @@ use fastlanes::VECTOR_SIZE;
 /// with compression overlapped onto a worker pool. See [`crate::pipeline`].
 pub use crate::pipeline;
 
-use std::collections::VecDeque;
+pub use crate::frame::{StreamFooter, COMMIT_FOOTER_LEN, COMMIT_MAGIC};
 
-use crate::format::{read_rowgroup, write_rowgroup, FormatError};
+use crate::format::{read_body, write_rowgroup, FormatError};
+use crate::frame::{self, FrameLog, Layout};
 use crate::hash::{xxh64, CHECKSUM_SEED};
-use crate::io::{flush_retry, read_best_effort, read_full_retry, write_all_retry, RetryPolicy};
-use crate::parity::{self, ParityAccumulator, ParityConfig};
-use crate::rowgroup::{Compressor, RowGroup};
+use crate::io::{flush_retry, read_full_retry, read_growing, write_all_retry, RetryPolicy};
+use crate::parity::{self, ParityConfig};
+use crate::rowgroup::{Compressed, Compressor, RowGroup};
 use crate::sampler::{ConfigError, SamplerParams};
 use crate::traits::AlpFloat;
-use crate::wire::{GetExt, PutExt};
+use crate::wire::PutExt;
 
 /// Magic bytes of a streamed column (current, checksummed format).
 pub const STREAM_MAGIC: &[u8; 4] = b"ALPT";
 
 /// Magic bytes of the legacy, pre-checksum stream format.
 pub const STREAM_MAGIC_V1: &[u8; 4] = b"ALPS";
-
-/// Magic bytes of the commit footer a finished `"ALPT"` stream ends with.
-pub const COMMIT_MAGIC: &[u8; 4] = b"ALPF";
-
-/// Serialized size of the commit footer: magic + values + rowgroups + xxh64.
-pub const COMMIT_FOOTER_LEN: usize = 4 + 8 + 4 + 8;
-
-/// The commit footer of a cleanly finished stream: what the writer intended
-/// the stream to contain, attested by an XXH64 over the footer fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamFooter {
-    /// Total values the writer emitted.
-    pub values: u64,
-    /// Row-group frames the writer emitted.
-    pub rowgroups: u32,
-}
 
 /// On-disk stream flavor, decided by the magic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,11 +103,12 @@ pub struct StreamSummary {
     pub rowgroups: usize,
     /// Frame bytes written: every length prefix, per-frame checksum, and
     /// compressed body. Excludes the 5-byte stream header, the 4-byte
-    /// terminator, and the `"ALPT"` commit footer.
+    /// terminator, and the `"ALPT"` commit footer and frame table.
     pub payload_bytes: usize,
     /// Every byte written to the sink — header, frames, terminator, and
-    /// (for `"ALPT"` streams) the commit footer. After a successful
-    /// [`ColumnWriter::finish`] this equals the sink's length exactly.
+    /// (for `"ALPT"` streams) the commit footer and frame table. After a
+    /// successful [`ColumnWriter::finish`] this equals the sink's length
+    /// exactly.
     pub total_bytes: usize,
 }
 
@@ -130,43 +117,22 @@ pub struct StreamSummary {
 /// [`ColumnWriter`] and the pipelined ingest workers, so both produce
 /// byte-identical streams by construction.
 pub(crate) fn encode_frame<F: AlpFloat>(rg: &RowGroup, version: StreamVersion, out: &mut Vec<u8>) {
-    let prefix = match version {
-        StreamVersion::V1 => 4,
-        StreamVersion::V2 => 4 + 8,
-    };
-    let start = out.len();
-    out.resize(start + prefix, 0);
-    write_rowgroup::<F>(out, rg);
-    let body_len = (out.len() - start - prefix) as u32;
-    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    if version == StreamVersion::V2 {
-        let checksum = xxh64(&out[start + prefix..], CHECKSUM_SEED);
-        out[start + 4..start + prefix].copy_from_slice(&checksum.to_le_bytes());
+    match version {
+        StreamVersion::V2 => frame::encode(out, |body| write_rowgroup::<F>(body, rg)),
+        StreamVersion::V1 => {
+            let start = out.len();
+            out.put_u32_le(0);
+            write_rowgroup::<F>(out, rg);
+            let len = (out.len() - start - 4) as u32;
+            out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        }
     }
 }
 
-/// Total byte length (prefix + body) of the frame at the head of `buf`, or
-/// `None` when `buf` does not hold a whole frame.
-fn frame_total_len(buf: &[u8], version: StreamVersion) -> Option<usize> {
-    let body = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
-    let prefix: usize = match version {
-        StreamVersion::V1 => 4,
-        StreamVersion::V2 => 4 + 8,
-    };
-    let total = prefix.checked_add(body)?;
-    (total <= buf.len()).then_some(total)
-}
-
-/// Decodes one row-group frame body into its values; `None` when the body
-/// does not parse as exactly one row-group.
-fn decode_frame_values<F: AlpFloat>(body: &[u8]) -> Option<Vec<F>> {
-    let mut slice = body;
-    let rg = read_rowgroup::<F>(&mut slice).ok()?;
-    if !slice.is_empty() {
-        return None;
-    }
+/// Decompresses one row-group into its values.
+fn decompress_one<F: AlpFloat>(rg: RowGroup) -> Vec<F> {
     let len = rg.len();
-    Some(crate::rowgroup::Compressed::<F>::from_rowgroups(vec![rg], len).decompress())
+    Compressed::<F>::from_rowgroups(vec![rg], len).decompress()
 }
 
 /// Incremental column writer: buffers up to one row-group, compresses and
@@ -182,9 +148,9 @@ pub struct ColumnWriter<F: AlpFloat, W: Write> {
     scratch: Vec<u8>,
     version: StreamVersion,
     retry: RetryPolicy,
-    /// XOR erasure protection: when set, one `"ALPP"` parity frame is
-    /// emitted per `group_size` row-group frames (see [`crate::parity`]).
-    parity: Option<ParityAccumulator>,
+    /// Frame table and parity groups of an `"ALPT"` stream (`None` for the
+    /// legacy layout, which has neither).
+    log: Option<FrameLog>,
 }
 
 impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
@@ -246,7 +212,7 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
     ) -> Result<Self, ConfigError> {
         parity.validate()?;
         let mut writer = Self::build(sink, Compressor::with_params(params)?, StreamVersion::V2, 1);
-        writer.parity = Some(ParityAccumulator::new(parity.group_size));
+        writer.log = Some(FrameLog::new(Some(parity.group_size)));
         Ok(writer)
     }
 
@@ -269,7 +235,7 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
             scratch: Vec::new(),
             version,
             retry: RetryPolicy::default(),
-            parity: None,
+            log: (version == StreamVersion::V2).then(|| FrameLog::new(None)),
         }
     }
 
@@ -297,12 +263,14 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
     }
 
     /// Flushes any buffered tail, writes the end-of-stream marker, and — for
-    /// the current `"ALPT"` layout — commits the stream with a footer.
+    /// the current `"ALPT"` layout — commits the stream with a footer and
+    /// the frame table.
     ///
-    /// The footer (`"ALPF" | values:u64 | rowgroups:u32 | xxh64:u64`) is the
-    /// stream's commit record: a reader that finds it intact knows the writer
-    /// finished cleanly, while a torn write — the process dying mid-frame —
-    /// can never fabricate it. Legacy `"ALPS"` streams stay footer-free.
+    /// The footer (`"ALPF" | values:u64 | rowgroups:u32 | xxh64:u64`) and the
+    /// checksummed table after it are the stream's commit record: a reader
+    /// that finds them intact knows the writer finished cleanly, while a torn
+    /// write — the process dying mid-frame — can never fabricate them.
+    /// Legacy `"ALPS"` streams stay footer-free.
     pub fn finish(mut self) -> io::Result<StreamSummary> {
         if !self.buffer.is_empty() {
             self.flush_rowgroup()?;
@@ -310,25 +278,18 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         self.ensure_header()?;
         // A partial final group still gets its parity frame, so the stream's
         // tail is as protected as its body.
-        if let Some(acc) = self.parity.as_mut() {
-            if let Some(pframe) = acc.take_frame() {
-                write_all_retry(&mut self.sink, &pframe, &self.retry)?;
-                self.summary.payload_bytes += pframe.len();
-                self.summary.total_bytes += pframe.len();
+        if let Some(pframe) = self.log.as_mut().and_then(FrameLog::close) {
+            self.write_parity(&pframe)?;
+        }
+        let mut tail = Vec::new();
+        match &self.log {
+            Some(log) => {
+                log.write_tail(&mut tail, self.summary.values as u64, self.summary.rowgroups as u32)
             }
+            None => tail.put_u32_le(0),
         }
-        write_all_retry(&mut self.sink, &0u32.to_le_bytes(), &self.retry)?;
-        self.summary.total_bytes += 4;
-        if self.version == StreamVersion::V2 {
-            let mut footer = Vec::with_capacity(COMMIT_FOOTER_LEN);
-            footer.put_slice(COMMIT_MAGIC);
-            footer.put_u64_le(self.summary.values as u64);
-            footer.put_u32_le(self.summary.rowgroups as u32);
-            let checksum = xxh64(&footer, CHECKSUM_SEED);
-            footer.put_u64_le(checksum);
-            write_all_retry(&mut self.sink, &footer, &self.retry)?;
-            self.summary.total_bytes += footer.len();
-        }
+        write_all_retry(&mut self.sink, &tail, &self.retry)?;
+        self.summary.total_bytes += tail.len();
         flush_retry(&mut self.sink, &self.retry)?;
         Ok(self.summary)
     }
@@ -364,6 +325,22 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         result
     }
 
+    /// Writes frame bytes to the sink and counts them as payload.
+    fn write_payload(&mut self, bytes: &[u8]) -> io::Result<()> {
+        write_all_retry(&mut self.sink, bytes, &self.retry)?;
+        self.summary.payload_bytes += bytes.len();
+        self.summary.total_bytes += bytes.len();
+        Ok(())
+    }
+
+    /// Writes a parity frame and logs it where it landed.
+    fn write_parity(&mut self, pframe: &[u8]) -> io::Result<()> {
+        if let Some(log) = self.log.as_mut() {
+            log.parity(pframe);
+        }
+        self.write_payload(pframe)
+    }
+
     /// Writes pre-encoded frames (see [`encode_frame`]) to the sink and folds
     /// them into the summary. The commit seam shared with the pipelined
     /// ingest path: frames land on the sink whole and in order, under the
@@ -375,37 +352,26 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         rowgroups: usize,
     ) -> io::Result<()> {
         self.ensure_header()?;
-        if self.parity.is_none() {
-            write_all_retry(&mut self.sink, frames, &self.retry)?;
-            self.summary.payload_bytes += frames.len();
-            self.summary.total_bytes += frames.len();
+        if self.log.is_none() {
+            self.write_payload(frames)?;
         } else {
-            // Walk the batch frame by frame so each parity frame lands
-            // immediately after the group it closes — the layout is then
-            // independent of flush batching and of the pipelined path, both
-            // of which funnel through this seam.
+            // Log frame by frame so each parity frame lands immediately after
+            // the group it closes — the layout is then independent of flush
+            // batching and of the pipelined path, both of which funnel
+            // through this seam.
             let mut rest = frames;
             while !rest.is_empty() {
-                let Some(frame_len) = frame_total_len(rest, self.version) else {
+                let Some((frame, tail)) = frame::split_frame(rest) else {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "malformed encoded frame batch",
                     ));
                 };
-                let (frame, tail) = rest.split_at(frame_len);
                 rest = tail;
-                write_all_retry(&mut self.sink, frame, &self.retry)?;
-                self.summary.payload_bytes += frame.len();
-                self.summary.total_bytes += frame.len();
-                if let Some(acc) = self.parity.as_mut() {
-                    acc.absorb(frame);
-                    if acc.is_full() {
-                        if let Some(pframe) = acc.take_frame() {
-                            write_all_retry(&mut self.sink, &pframe, &self.retry)?;
-                            self.summary.payload_bytes += pframe.len();
-                            self.summary.total_bytes += pframe.len();
-                        }
-                    }
+                let pframe = self.log.as_mut().and_then(|log| log.data(frame));
+                self.write_payload(frame)?;
+                if let Some(pframe) = pframe {
+                    self.write_parity(&pframe)?;
                 }
             }
         }
@@ -431,39 +397,20 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
     }
 }
 
-/// Frames retained while probing for parity frames in a stream that may not
-/// carry any. A parity group holds at most 255 data frames, so a stream that
-/// has parity always shows its first parity frame within this many frames.
-const PARITY_PROBATION_FRAMES: usize = 256;
-
-/// Byte cap on the same probation window, for streams with huge frames.
-const PARITY_PROBATION_BYTES: usize = 64 << 20;
-
-/// One frame held by the salvage engine between parity resolutions.
-struct PendingFrame<F> {
-    /// Whole frame bytes — length prefix, checksum, and body — as read.
-    /// Intact frames feed XOR reconstruction of a damaged neighbor.
-    bytes: Vec<u8>,
-    /// Frame checksum verified (the bytes are what the writer wrote).
-    verified: bool,
-    /// Decoded values not yet handed to the caller (held while an earlier
-    /// frame in the group is unresolved, to preserve stream order).
-    values: Option<Vec<F>>,
-    /// Values handed out (or the loss recorded): its data index is assigned.
-    emitted: bool,
-}
-
 /// Incremental column reader: yields one decompressed row-group at a time.
 pub struct ColumnReader<F: AlpFloat, R: Read> {
     source: R,
     frame: Vec<u8>,
     done: bool,
     version: StreamVersion,
+    /// No frame byte has been consumed yet: the salvage walk starts at
+    /// frame 0, where the frame table and frame positions apply.
+    fresh: bool,
     /// Index of the next *data* row-group (parity frames are not counted).
     next_index: usize,
     /// Row-group indices skipped by the salvage path.
     lost: Vec<usize>,
-    /// Row-group indices the salvage path reconstructed from parity.
+    /// Row-group indices the salvage path repaired.
     repaired: Vec<usize>,
     /// Whether the stream's commit record was found intact (see
     /// [`ColumnReader::is_committed`]).
@@ -471,17 +418,9 @@ pub struct ColumnReader<F: AlpFloat, R: Read> {
     /// The parsed commit footer, when one was found and verified.
     footer: Option<StreamFooter>,
     retry: RetryPolicy,
-    /// Frames since the last resolved parity group (salvage engine state).
-    window: Vec<PendingFrame<F>>,
-    /// Bytes retained in `window`, for the probation cap.
-    window_bytes: usize,
-    /// Decoded row-groups ready to hand out, in stream order.
-    pending: VecDeque<Vec<F>>,
-    /// Parity group size, once learned from a verified parity frame.
-    group_size: Option<usize>,
-    /// Cleared when the probation window fills without a parity frame: the
-    /// stream evidently carries none, so nothing is retained for repair.
-    parity_possible: bool,
+    /// Row-groups the salvage walk recovered, not yet handed out.
+    pending: VecDeque<RowGroup>,
+    _values: core::marker::PhantomData<F>,
 }
 
 /// Errors produced while reading a stream.
@@ -534,17 +473,15 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             frame: Vec::new(),
             done: false,
             version,
+            fresh: true,
             next_index: 0,
             lost: Vec::new(),
             repaired: Vec::new(),
             committed: false,
             footer: None,
             retry,
-            window: Vec::new(),
-            window_bytes: 0,
             pending: VecDeque::new(),
-            group_size: None,
-            parity_possible: version == StreamVersion::V2,
+            _values: core::marker::PhantomData,
         })
     }
 
@@ -577,27 +514,22 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
 
     /// Reads and decompresses the next row-group; `None` at end of stream.
     pub fn next_rowgroup(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        match self.next_rowgroup_compressed()? {
-            None => Ok(None),
-            Some(rg) => {
-                let len = rg.len();
-                let compressed = crate::rowgroup::Compressed::<F>::from_rowgroups(vec![rg], len);
-                Ok(Some(compressed.decompress()))
-            }
-        }
+        Ok(self.next_rowgroup_compressed()?.map(decompress_one::<F>))
     }
 
     /// Reads the next row-group without decompressing it (for servers that
     /// relay or selectively decode).
     ///
     /// Errors after the frame was consumed in full (checksum mismatch, body
-    /// parse failure) leave the source positioned at the next frame, which is
-    /// what lets [`ColumnReader::next_rowgroup_salvaged`] resync.
+    /// parse failure) leave the source positioned at the next frame. The
+    /// frame buffer grows only as bytes arrive, so a corrupted length prefix
+    /// costs no allocation beyond the bytes actually present.
     pub fn next_rowgroup_compressed(&mut self) -> Result<Option<RowGroup>, StreamError> {
         loop {
             if self.done {
                 return Ok(None);
             }
+            self.fresh = false;
             let mut len_bytes = [0u8; 4];
             read_full_retry(&mut self.source, &mut len_bytes, &self.retry)?;
             let len = u32::from_le_bytes(len_bytes) as usize;
@@ -612,8 +544,13 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
                 read_full_retry(&mut self.source, &mut checksum_bytes, &self.retry)?;
                 stored_checksum = u64::from_le_bytes(checksum_bytes);
             }
-            self.frame.resize(len, 0);
-            read_full_retry(&mut self.source, &mut self.frame, &self.retry)?;
+            self.frame.clear();
+            if read_growing(&mut self.source, &mut self.frame, len, &self.retry)? < len {
+                return Err(StreamError::Io(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("source ended inside a {len}-byte frame"),
+                )));
+            }
             // The frame is fully consumed from here on: every error below is
             // recoverable by reading the next frame.
             if self.version == StreamVersion::V2 {
@@ -634,12 +571,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
                 }
             }
             self.next_index += 1;
-            let mut slice: &[u8] = &self.frame;
-            let rg = read_rowgroup::<F>(&mut slice)?;
-            if !slice.is_empty() {
-                return Err(StreamError::Format(FormatError::Corrupt("row-group frame length")));
-            }
-            return Ok(Some(rg));
+            return Ok(Some(read_body::<F>(&self.frame)?));
         }
     }
 
@@ -649,33 +581,59 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// frame per group, verifies the repaired frame's checksum, and records
     /// its index in [`ColumnReader::repaired_rowgroups`]. Frames that remain
     /// unrecoverable (two or more damaged in one group, or no parity at all)
-    /// are recorded in [`ColumnReader::lost_rowgroups`]. A torn tail — the
-    /// source ending mid-frame, where resync is impossible because the next
-    /// frame boundary is gone — ends the walk with the cut frame recorded as
-    /// lost, so the caller keeps exactly the committed prefix. Other I/O
-    /// errors (hard faults, exhausted retry budgets) still surface as `Err`.
+    /// are recorded in [`ColumnReader::lost_rowgroups`].
     ///
-    /// Repair accounting assumes the stream is drained through this method;
-    /// interleaving calls with the strict readers degrades repairs to losses
-    /// (never the other way around).
+    /// The first call reads the rest of the source once — the buffer grows
+    /// only as bytes arrive — and walks it through the [frame
+    /// layer](crate::frame): the frame table delimits the frames even past a
+    /// corrupted length prefix (the restored row-group is reported
+    /// repaired); without a table (a torn tail, a damaged table) a plain
+    /// length walk stops at the first implausible length and reports the cut
+    /// frame lost, so the caller keeps exactly the committed prefix. I/O
+    /// errors (hard faults, exhausted retry budgets) surface as `Err`.
+    ///
+    /// Repair assumes the stream is drained through this method from its
+    /// first frame; after strict reads the walk cannot line frames up with
+    /// the table or with parity groups, so repairs degrade to losses (never
+    /// the other way around).
     pub fn next_rowgroup_salvaged(&mut self) -> Result<Option<Vec<F>>, StreamError> {
         if self.version == StreamVersion::V1 {
             return self.next_rowgroup_salvaged_v1();
         }
-        loop {
-            if let Some(values) = self.pending.pop_front() {
-                return Ok(Some(values));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            self.pump_salvage()?;
+        if !self.done {
+            self.salvage_rest()?;
         }
+        Ok(self.pending.pop_front().map(decompress_one::<F>))
     }
 
-    /// The pre-parity salvage walk, still exact for legacy `"ALPS"` streams
-    /// (whose frames carry no checksums, so there is nothing to repair
-    /// against).
+    /// Reads the rest of the source and walks it through the frame layer:
+    /// queues every row-group that verifies or repairs, records the rest as
+    /// lost, and settles the commit verdict.
+    fn salvage_rest(&mut self) -> Result<(), StreamError> {
+        let from_start = core::mem::replace(&mut self.fresh, false);
+        let mut buf = Vec::new();
+        read_growing(&mut self.source, &mut buf, usize::MAX, &self.retry)?;
+        self.done = true;
+        let walk = frame::walk(&buf, 0, Layout::Stream { from_start });
+        let (slots, repaired) = frame::recover(&walk, 1, |body| read_body::<F>(body).ok());
+        let footer = walk.terminator.and_then(|t| frame::read_footer(buf.get(t + 4..)?));
+        let base = self.next_index;
+        self.repaired.extend(repaired.iter().map(|i| base + i));
+        for (i, slot) in slots.into_iter().enumerate() {
+            match slot {
+                Some(rg) => self.pending.push_back(rg),
+                None => self.lost.push(base + i),
+            }
+            self.next_index += 1;
+        }
+        self.footer = footer;
+        self.committed =
+            walk.tabled && footer.is_some_and(|f| f.rowgroups as usize == self.next_index);
+        Ok(())
+    }
+
+    /// The salvage walk for legacy `"ALPS"` streams, whose frames carry no
+    /// checksums, so there is nothing to repair against.
     fn next_rowgroup_salvaged_v1(&mut self) -> Result<Option<Vec<F>>, StreamError> {
         loop {
             let before = self.next_index;
@@ -686,7 +644,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
                 {
                     // Torn write: the writer died mid-frame (or the tail was
                     // truncated). `is_committed` stays false — the terminator
-                    // and footer were never reached.
+                    // was never reached.
                     self.lost.push(before);
                     self.done = true;
                     return Ok(None);
@@ -702,271 +660,17 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
         }
     }
 
-    /// Reads one frame in salvage mode: verified row-groups decode (and are
-    /// handed out as soon as nothing earlier is unresolved), verified parity
-    /// frames resolve the pending group, damaged frames wait in the window
-    /// for reconstruction. Torn tails resolve whatever is pending and end
-    /// the stream.
-    fn pump_salvage(&mut self) -> Result<(), StreamError> {
-        let mut len_bytes = [0u8; 4];
-        if self.read_or_tear(&mut len_bytes)? {
-            return Ok(());
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len == 0 {
-            self.done = true;
-            self.read_commit_footer();
-            self.resolve_terminal();
-            return Ok(());
-        }
-        let mut raw = vec![0u8; 4 + 8 + len];
-        if let Some(head) = raw.get_mut(..4) {
-            head.copy_from_slice(&len_bytes);
-        }
-        let expected = raw.len() - 4;
-        let got = match raw.get_mut(4..) {
-            Some(rest) => {
-                read_best_effort(&mut self.source, rest, &self.retry).map_err(StreamError::Io)?
-            }
-            None => 0,
-        };
-        if got < expected {
-            // Torn tail. The partial frame still identifies itself: a cut
-            // that landed inside a *parity* frame costs no data, while a cut
-            // inside a row-group frame is a (possibly repairable) loss.
-            let body_prefix_known = 4 + got >= 16;
-            let parity_tear =
-                body_prefix_known && raw.get(12..16) == Some(parity::PARITY_MAGIC.as_slice());
-            if !parity_tear {
-                self.window.push(PendingFrame {
-                    bytes: Vec::new(),
-                    verified: false,
-                    values: None,
-                    emitted: false,
-                });
-            }
-            self.done = true;
-            self.resolve_terminal();
-            return Ok(());
-        }
-        let stored = raw
-            .get(4..12)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .map(u64::from_le_bytes)
-            .unwrap_or(0);
-        let body_checksum = raw.get(12..).map(|body| xxh64(body, CHECKSUM_SEED));
-        let verified = body_checksum == Some(stored);
-
-        if verified {
-            if let Some(body) = raw.get(12..) {
-                if parity::is_parity_body(body) {
-                    match parity::parse_parity_body(body) {
-                        Some(pb) => {
-                            self.group_size = Some(pb.group_size);
-                            self.parity_possible = true;
-                            self.resolve_group(pb.count, pb.xor);
-                            return Ok(());
-                        }
-                        None => {
-                            // Checksummed but malformed parity body: nothing
-                            // to resolve against; fall through as a frame
-                            // that occupies no data slot.
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-
-        let values = if verified { raw.get(12..).and_then(decode_frame_values::<F>) } else { None };
-
-        if !self.parity_possible {
-            // Probation expired with no parity frame in sight: the stream
-            // has none, so nothing is retained and damage is final.
-            let idx = self.next_index;
-            self.next_index += 1;
-            match values {
-                Some(v) => self.pending.push_back(v),
-                None => self.lost.push(idx),
-            }
-            return Ok(());
-        }
-
-        let mut entry = PendingFrame { bytes: raw, verified, values, emitted: false };
-        let holding = self.window.iter().any(|e| !e.emitted);
-        if !holding && entry.verified {
-            // Nothing unresolved ahead of this frame: hand it out (or record
-            // the loss) now, keeping only its bytes for a later repair.
-            let idx = self.next_index;
-            self.next_index += 1;
-            match entry.values.take() {
-                Some(v) => self.pending.push_back(v),
-                None => self.lost.push(idx),
-            }
-            entry.emitted = true;
-        }
-        self.window_bytes += entry.bytes.len();
-        self.window.push(entry);
-        self.enforce_window_bounds();
-        Ok(())
-    }
-
-    /// Reads `buf` in full, or — on a torn tail — records the cut frame as
-    /// damaged, resolves the pending window, and ends the stream. Returns
-    /// `true` when the tail was torn.
-    fn read_or_tear(&mut self, buf: &mut [u8]) -> Result<bool, StreamError> {
-        match read_full_retry(&mut self.source, buf, &self.retry) {
-            Ok(()) => Ok(false),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                self.window.push(PendingFrame {
-                    bytes: Vec::new(),
-                    verified: false,
-                    values: None,
-                    emitted: false,
-                });
-                self.done = true;
-                self.resolve_terminal();
-                Ok(true)
-            }
-            Err(e) => Err(StreamError::Io(e)),
-        }
-    }
-
-    /// Caps salvage-window memory: a stream that never shows a parity frame
-    /// within the probation window carries none (groups hold at most 255
-    /// frames), and a stream whose parity frames are themselves repeatedly
-    /// damaged is beyond the single-fault protection level.
-    fn enforce_window_bounds(&mut self) {
-        match self.group_size {
-            Some(k) => {
-                if self.window.len() >= 3 * (k + 1) {
-                    // Two consecutive parity frames lost: resolve what
-                    // position arithmetic still can, and start fresh.
-                    let mut window = core::mem::take(&mut self.window);
-                    self.window_bytes = 0;
-                    self.settle_positional(&mut window, k);
-                }
-            }
-            None => {
-                if self.window.len() >= PARITY_PROBATION_FRAMES
-                    || self.window_bytes >= PARITY_PROBATION_BYTES
-                {
-                    self.parity_possible = false;
-                    let mut window = core::mem::take(&mut self.window);
-                    self.window_bytes = 0;
-                    self.settle_positional(&mut window, 0);
-                }
-            }
-        }
-    }
-
-    /// Resolves the window against a verified parity frame covering its last
-    /// `count` entries: a single damaged frame in the group is rebuilt by
-    /// XOR, self-verified, and handed out in stream order.
-    fn resolve_group(&mut self, count: usize, xor: &[u8]) {
-        let mut window = core::mem::take(&mut self.window);
-        self.window_bytes = 0;
-        let group_start = window.len().saturating_sub(count);
-        let (prefix, group) = window.split_at_mut(group_start);
-        // Entries before the group belong to earlier groups whose parity
-        // frame was itself damaged: position arithmetic settles them.
-        let k = self.group_size.unwrap_or(0);
-        self.settle_positional(prefix, k);
-        // Frames the window never saw (reader started mid-stream or mixed
-        // strict and salvaged reads) block reconstruction but damage nothing.
-        let missing = count.saturating_sub(group.len());
-        let damaged_count = group.iter().filter(|e| !e.verified).count();
-        let mut repaired_values: Option<Vec<F>> = None;
-        if missing == 0 && damaged_count == 1 {
-            let intact: Vec<&[u8]> =
-                group.iter().filter(|e| e.verified).map(|e| e.bytes.as_slice()).collect();
-            if let Some(frame) = parity::try_repair_frame(xor, &intact) {
-                repaired_values = frame.get(12..).and_then(decode_frame_values::<F>);
-            }
-        }
-        for e in group.iter_mut() {
-            if e.emitted {
-                continue;
-            }
-            let idx = self.next_index;
-            self.next_index += 1;
-            if e.verified {
-                match e.values.take() {
-                    Some(v) => self.pending.push_back(v),
-                    None => self.lost.push(idx),
-                }
-            } else if let Some(v) = repaired_values.take() {
-                self.pending.push_back(v);
-                self.repaired.push(idx);
-            } else {
-                self.lost.push(idx);
-            }
-            e.emitted = true;
-        }
-    }
-
-    /// End-of-stream resolution: settle everything still pending by position
-    /// arithmetic, then let a verified footer arbitrate — trailing "losses"
-    /// in excess of its row-group count were parity frames, not data.
-    fn resolve_terminal(&mut self) {
-        let k = self.group_size.unwrap_or(0);
-        let mut window = core::mem::take(&mut self.window);
-        self.window_bytes = 0;
-        self.settle_positional(&mut window, k);
-        if let Some(f) = self.footer {
-            let total = f.rowgroups as usize;
-            while self.next_index > total && self.lost.last() == Some(&(self.next_index - 1)) {
-                self.lost.pop();
-                self.next_index -= 1;
-            }
-            self.committed = total == self.next_index;
-        }
-    }
-
-    /// Settles entries without a resolving parity frame. Verified entries
-    /// are data (parity frames never linger in the window); damaged entries
-    /// are classified by their position within `k + 1`-frame chunks — one
-    /// parity slot per chunk — and a damaged frame sitting in a parity slot
-    /// costs no data. With `k == 0` (no parity knowledge) every damaged
-    /// frame is a data loss, the pre-parity behavior.
-    fn settle_positional(&mut self, entries: &mut [PendingFrame<F>], k: usize) {
-        let mut pos = 0usize;
-        for e in entries.iter_mut() {
-            let parity_slot = k > 0 && pos == k;
-            if parity_slot {
-                pos = 0;
-            } else {
-                pos += 1;
-            }
-            if e.emitted {
-                continue;
-            }
-            if e.verified {
-                let idx = self.next_index;
-                self.next_index += 1;
-                match e.values.take() {
-                    Some(v) => self.pending.push_back(v),
-                    None => self.lost.push(idx),
-                }
-            } else if !parity_slot {
-                let idx = self.next_index;
-                self.next_index += 1;
-                self.lost.push(idx);
-            }
-            e.emitted = true;
-        }
-    }
-
     /// Row-group indices skipped so far by
     /// [`ColumnReader::next_rowgroup_salvaged`].
     pub fn lost_rowgroups(&self) -> &[usize] {
         &self.lost
     }
 
-    /// Row-group indices reconstructed from parity so far by
-    /// [`ColumnReader::next_rowgroup_salvaged`]. Repaired row-groups are
-    /// byte-identical to what the writer emitted (the reconstruction is
-    /// verified against the frame's own checksum before use).
+    /// Row-group indices repaired so far by
+    /// [`ColumnReader::next_rowgroup_salvaged`]: rebuilt from parity, or
+    /// delimited by the frame table past a corrupted length prefix.
+    /// Repaired row-groups are byte-identical to what the writer emitted
+    /// (every repair is verified against the frame's own checksum).
     pub fn repaired_rowgroups(&self) -> &[usize] {
         &self.repaired
     }
@@ -976,7 +680,9 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// methods): `true` means the writer's [`ColumnWriter::finish`] ran to
     /// completion and its row-group count matches what this reader walked.
     /// In-place frame damage does *not* clear the flag — a committed stream
-    /// with losses was written whole and corrupted later.
+    /// with losses was written whole and corrupted later. The strict readers
+    /// check the footer; the salvage reader also requires the frame table
+    /// after it, since a tear can end a file exactly at the footer.
     pub fn is_committed(&self) -> bool {
         self.committed
     }
@@ -1003,20 +709,8 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
         if read_full_retry(&mut self.source, &mut raw, &self.retry).is_err() {
             return;
         }
-        let Some(attested) = raw.get(..COMMIT_FOOTER_LEN - 8) else { return };
-        let mut cursor: &[u8] = &raw;
-        if cursor.get(..4) != Some(COMMIT_MAGIC.as_slice()) {
-            return;
-        }
-        cursor.advance(4);
-        let values = cursor.get_u64_le();
-        let rowgroups = cursor.get_u32_le();
-        let stored = cursor.get_u64_le();
-        if xxh64(attested, CHECKSUM_SEED) != stored {
-            return;
-        }
-        self.footer = Some(StreamFooter { values, rowgroups });
-        self.committed = rowgroups as usize == self.next_index;
+        self.footer = frame::read_footer(&raw);
+        self.committed = self.footer.is_some_and(|f| f.rowgroups as usize == self.next_index);
     }
 }
 
@@ -1034,7 +728,8 @@ mod tests {
         let summary = writer.finish().unwrap();
         assert_eq!(summary.values, data.len());
         assert_eq!(summary.total_bytes, file.len());
-        assert_eq!(summary.total_bytes, 5 + summary.payload_bytes + 4 + COMMIT_FOOTER_LEN);
+        let tail = frame::tail_len(summary.rowgroups);
+        assert_eq!(summary.total_bytes, 5 + summary.payload_bytes + tail);
 
         let mut reader = ColumnReader::<f64, _>::new(&file[..]).unwrap();
         let mut restored = Vec::new();
@@ -1141,7 +836,7 @@ mod tests {
         writer.push(&data).unwrap();
         let summary = writer.finish().unwrap();
         assert_eq!(summary.total_bytes, v2.len());
-        assert_eq!(summary.payload_bytes, v2.len() - 5 - 4 - COMMIT_FOOTER_LEN);
+        assert_eq!(summary.payload_bytes, v2.len() - 5 - frame::tail_len(summary.rowgroups));
 
         let mut v1 = Vec::new();
         let mut writer = ColumnWriter::<f64, _>::legacy(&mut v1);
@@ -1247,6 +942,11 @@ mod tests {
         (data, file)
     }
 
+    /// Offset just past the commit footer of a two-frame stream.
+    fn footer_end(file: &[u8]) -> usize {
+        file.len() - frame::tail_len(2) + 4 + COMMIT_FOOTER_LEN
+    }
+
     #[test]
     fn flipped_payload_bit_is_caught_by_frame_checksum() {
         let (_, mut file) = two_rowgroup_stream();
@@ -1276,6 +976,22 @@ mod tests {
         for (a, b) in data[rowgroup_len..].iter().zip(&restored) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn salvage_after_strict_reads_returns_the_rest() {
+        let (data, mut file) = two_rowgroup_stream();
+        let rowgroup_len = 102_400;
+        let second_body = FIRST_BODY + u32::from_le_bytes(file[5..9].try_into().unwrap()) as usize;
+        file[second_body + 12 + 100] ^= 0x10;
+        let mut reader = ColumnReader::<f64, _>::new(&file[..]).unwrap();
+        let first = reader.next_rowgroup().unwrap().unwrap();
+        assert_eq!(first, data[..rowgroup_len]);
+        // Past frame 0 the table no longer lines up: the walk still delimits
+        // the rest by length and numbers its losses after the strict reads.
+        assert!(reader.next_rowgroup_salvaged().unwrap().is_none());
+        assert_eq!(reader.lost_rowgroups(), &[1]);
+        assert!(!reader.is_committed());
     }
 
     #[test]
@@ -1346,7 +1062,7 @@ mod tests {
     fn torn_footer_recovers_all_data_but_stays_uncommitted() {
         let (data, file) = two_rowgroup_stream();
         // Cut mid-footer: every frame is intact but the commit record is torn.
-        let cut = file.len() - 1;
+        let cut = footer_end(&file) - 1;
         let mut reader = ColumnReader::<f64, _>::new(&file[..cut]).unwrap();
         let mut restored = Vec::new();
         while let Some(values) = reader.next_rowgroup_salvaged().unwrap() {
@@ -1361,7 +1077,7 @@ mod tests {
     #[test]
     fn corrupted_footer_checksum_stays_uncommitted() {
         let (_, mut file) = two_rowgroup_stream();
-        let last = file.len() - 1;
+        let last = footer_end(&file) - 1;
         file[last] ^= 0x01;
         let mut reader = ColumnReader::<f64, _>::new(&file[..]).unwrap();
         while reader.next_rowgroup().unwrap().is_some() {}
@@ -1532,6 +1248,26 @@ mod tests {
     }
 
     #[test]
+    fn pre_table_streams_still_repair_body_damage() {
+        let data: Vec<f64> = (0..20_000).map(|i| ((i % 777) as f64) / 8.0).collect();
+        let file = parity_stream(&data, 4);
+        // A stream written before the frame table ends at its footer (10 data
+        // + 3 parity frames were logged).
+        let mut old = file[..file.len() - frame::tail_len(13) + 4 + COMMIT_FOOTER_LEN].to_vec();
+        let spans = frame_spans(&old);
+        let data_spans: Vec<(usize, usize)> =
+            spans.iter().copied().filter(|&s| !is_parity_span(&old, s)).collect();
+        let (start, len) = data_spans[6];
+        old[start + len / 2] ^= 0x40;
+        let (restored, lost, repaired, committed) = drain_salvaged(&old);
+        assert_eq!(restored, data);
+        assert!(lost.is_empty());
+        assert_eq!(repaired, vec![6]);
+        // Salvage cannot tell this file from one torn at the footer.
+        assert!(!committed);
+    }
+
+    #[test]
     fn two_damaged_frames_in_one_group_degrade_to_loss_report() {
         let data: Vec<f64> = (0..20_000).map(|i| (i % 555) as f64 / 2.0).collect();
         let file = parity_stream(&data, 4);
@@ -1610,7 +1346,8 @@ mod tests {
         writer.push(&data).unwrap();
         let summary = writer.finish().unwrap();
         assert_eq!(summary.total_bytes, file.len());
-        assert_eq!(summary.total_bytes, 5 + summary.payload_bytes + 4 + COMMIT_FOOTER_LEN);
+        // 10 data frames and 3 parity frames in the table.
+        assert_eq!(summary.total_bytes, 5 + summary.payload_bytes + frame::tail_len(13));
         // Parity frames count as payload bytes but never as row-groups.
         assert_eq!(summary.rowgroups, 10);
         assert_eq!(summary.values, data.len());

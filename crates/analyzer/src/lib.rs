@@ -142,6 +142,8 @@ impl Default for Config {
                 "crates/gpzip/src/*",
                 "crates/alp/src/format.rs",
                 "crates/alp/src/stream.rs",
+                // The shared frame layer walks and repairs damaged frames.
+                "crates/alp/src/frame.rs",
                 // Parity reconstruction decodes damaged frames; its decode
                 // entry points need fallible twins like any other reader.
                 "crates/alp/src/parity.rs",
@@ -150,7 +152,11 @@ impl Default for Config {
                 // (`crates/vectorq/src/scrub.rs` rides this glob.)
                 "crates/vectorq/src/*",
             ]),
-            wire_files: strings(&["crates/alp/src/format.rs", "crates/alp/src/stream.rs"]),
+            wire_files: strings(&[
+                "crates/alp/src/format.rs",
+                "crates/alp/src/stream.rs",
+                "crates/alp/src/frame.rs",
+            ]),
             writer_fn_patterns: strings(&[
                 "to_bytes",
                 "write",

@@ -171,7 +171,7 @@ fn drain_stream<F: alp::AlpFloat>(bytes: &[u8]) -> Result<(Vec<F>, String)> {
             Ok((
                 data,
                 format!(
-                    "{committed} stream, repaired row-groups {:?} from parity",
+                    "{committed} stream, repaired row-groups {:?}",
                     reader.repaired_rowgroups()
                 ),
             ))
@@ -201,7 +201,7 @@ fn decompress_stream(bytes: &[u8], output: &str) -> Result<()> {
 
 /// Strict column read with a repair-on-read fallback: when the strict parse
 /// fails, a salvage pass may still reconstruct every row-group from parity
-/// (or re-find alignment past a corrupted length prefix). The fallback is
+/// (or restore a corrupted length prefix from the frame table). The fallback is
 /// accepted only when *no* row-group stayed lost and the value count matches
 /// the header — anything less re-raises the strict error.
 fn read_column_with_repair<F: alp::AlpFloat>(
@@ -228,11 +228,7 @@ fn read_column_with_repair<F: alp::AlpFloat>(
 /// row-groups.
 pub fn decompress(input: &str, output: &str) -> Result<()> {
     let bytes = fs::read(input)?;
-    // Streams (`"ALPT"` / legacy `"ALPS"`) and columns share the
-    // width-at-byte-4 convention; the magic picks the reader.
-    if bytes.len() >= 4
-        && (&bytes[..4] == alp::stream::STREAM_MAGIC || &bytes[..4] == alp::stream::STREAM_MAGIC_V1)
-    {
+    if is_stream(&bytes) {
         return decompress_stream(&bytes, output);
     }
     // Peek at the width byte (after the 4-byte magic).
@@ -262,29 +258,51 @@ fn repair_note(repaired: &[usize]) -> String {
     if repaired.is_empty() {
         String::new()
     } else {
-        format!(" (repaired row-groups {repaired:?} from parity)")
+        format!(" (repaired row-groups {repaired:?})")
     }
 }
 
-/// `alp inspect <in>`
+/// Whether `bytes` hold an `"ALPT"`/`"ALPS"` stream. Streams and columns
+/// share the width-at-byte-4 convention; the magic picks the reader.
+fn is_stream(bytes: &[u8]) -> bool {
+    bytes.starts_with(alp::stream::STREAM_MAGIC) || bytes.starts_with(alp::stream::STREAM_MAGIC_V1)
+}
+
+/// `alp inspect <in>` — per-row-group layout of a column or a stream.
 pub fn inspect(input: &str) -> Result<()> {
     let bytes = fs::read(input)?;
     let bits = *bytes.get(4).ok_or("file too short")?;
     if bits == 32 {
-        let c = alp::format::from_bytes::<f32>(&bytes)?;
-        print_structure(&c.rowgroups, c.len, 32, bytes.len());
+        inspect_typed::<f32>(&bytes)
     } else {
-        let c = alp::format::from_bytes::<f64>(&bytes)?;
-        print_structure(&c.rowgroups, c.len, 64, bytes.len());
+        inspect_typed::<f64>(&bytes)
+    }
+}
+
+fn inspect_typed<F: alp::AlpFloat>(bytes: &[u8]) -> Result<()> {
+    if is_stream(bytes) {
+        let mut reader = alp::stream::ColumnReader::<F, _>::new(bytes)?;
+        let mut rowgroups = Vec::new();
+        while let Some(rg) = reader.next_rowgroup_compressed()? {
+            rowgroups.push(rg);
+        }
+        let len = rowgroups.iter().map(|rg| rg.len()).sum();
+        print_structure("ALP stream", &rowgroups, len, F::BITS, bytes.len());
+    } else {
+        let c = alp::format::from_bytes::<F>(bytes)?;
+        print_structure("ALP column", &c.rowgroups, c.len, F::BITS, bytes.len());
     }
     Ok(())
 }
 
-fn print_structure(rowgroups: &[alp::RowGroup], len: usize, bits: u32, file_bytes: usize) {
-    println!(
-        "ALP column: {len} values of f{bits}, {} row-groups, {file_bytes} bytes",
-        rowgroups.len()
-    );
+fn print_structure(
+    what: &str,
+    rowgroups: &[alp::RowGroup],
+    len: usize,
+    bits: u32,
+    file_bytes: usize,
+) {
+    println!("{what}: {len} values of f{bits}, {} row-groups, {file_bytes} bytes", rowgroups.len());
     println!("{:<6} {:<8} {:>8} {:>10} {:>12}", "rg", "scheme", "vectors", "values", "exceptions");
     for (i, rg) in rowgroups.iter().enumerate() {
         let (scheme, exceptions) = match rg {
@@ -303,8 +321,9 @@ fn print_structure(rowgroups: &[alp::RowGroup], len: usize, bits: u32, file_byte
 pub const VERIFY_EXIT_CLEAN: u8 = 0;
 
 /// `alp verify` exit code: damage was found, but a salvage pass recovers
-/// *every* row-group (parity reconstruction and/or resync) — the data is
-/// fully intact despite the strict-read failure.
+/// *every* row-group (parity reconstruction and/or a length prefix restored
+/// from the frame table) — the data is fully intact despite the strict-read
+/// failure.
 pub const VERIFY_EXIT_REPAIRED: u8 = 2;
 
 /// `alp verify` exit code: the column is damaged but a salvage pass recovers
@@ -319,7 +338,8 @@ pub const VERIFY_EXIT_UNREADABLE: u8 = 4;
 /// without writing anything: validates the header, every row-group checksum
 /// (`ALP2`), and the declared value count, then reports what a salvage pass
 /// could recover if the strict read fails. The proving decode and the
-/// salvage pass both run on `threads` morsel-claiming workers.
+/// salvage pass both run on `threads` morsel-claiming workers. `"ALPT"` and
+/// `"ALPS"` streams get the stream report of `alp scrub`.
 ///
 /// Returns the process exit code so scripts can triage archives:
 /// [`VERIFY_EXIT_CLEAN`] (0), [`VERIFY_EXIT_REPAIRED`] (2, damage found but
@@ -328,6 +348,9 @@ pub const VERIFY_EXIT_UNREADABLE: u8 = 4;
 /// failures (unreadable file, unsupported width) and exits 1.
 pub fn verify_column(input: &str, threads: usize) -> Result<u8> {
     let bytes = fs::read(input)?;
+    if is_stream(&bytes) {
+        return scrub_stream(input, &bytes);
+    }
     let bits = *bytes.get(4).ok_or("file too short")?;
     match bits {
         64 => verify_typed::<f64>(input, &bytes, threads),
@@ -362,7 +385,7 @@ fn verify_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8], threads: usize) -> 
             match alp::format::from_bytes_salvage_parallel::<F>(bytes, threads) {
                 Ok(s) => {
                     for rg in &s.repaired_rowgroups {
-                        println!("  row-group {rg}: repaired from parity (checksum verified)");
+                        println!("  row-group {rg}: repaired (checksum verified)");
                     }
                     if s.lost_rowgroups.is_empty()
                         && s.column.len == s.expected_len
@@ -370,7 +393,7 @@ fn verify_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8], threads: usize) -> 
                     {
                         println!(
                             "  fully repaired: all {} values intact ({} of {} row-groups \
-                             reconstructed)",
+                             repaired)",
                             s.column.len,
                             s.repaired_rowgroups.len(),
                             s.total_rowgroups
@@ -413,18 +436,11 @@ fn verify_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8], threads: usize) -> 
 /// [`VERIFY_EXIT_UNREADABLE`] (4). `Err` exits 1.
 pub fn scrub(input: &str, threads: usize, rewrite: bool) -> Result<u8> {
     let bytes = fs::read(input)?;
-    if bytes.len() >= 4
-        && (&bytes[..4] == alp::stream::STREAM_MAGIC || &bytes[..4] == alp::stream::STREAM_MAGIC_V1)
-    {
+    if is_stream(&bytes) {
         if rewrite {
             return Err("--rewrite supports column files; re-ingest to rewrite a stream".into());
         }
-        let bits = *bytes.get(4).ok_or("file too short")?;
-        return match bits {
-            64 => scrub_stream_typed::<f64>(input, &bytes),
-            32 => scrub_stream_typed::<f32>(input, &bytes),
-            other => Err(format!("unsupported float width {other}").into()),
-        };
+        return scrub_stream(input, &bytes);
     }
     let bits = *bytes.get(4).ok_or("file too short")?;
     match bits {
@@ -452,7 +468,7 @@ fn scrub_column<F: alp::AlpFloat>(
         }
     };
     for rg in &s.repaired_rowgroups {
-        println!("  row-group {rg}: repaired from parity (checksum verified)");
+        println!("  row-group {rg}: repaired (checksum verified)");
     }
     for rg in &s.lost_rowgroups {
         println!("  row-group {rg}: LOST (unrecoverable)");
@@ -469,7 +485,7 @@ fn scrub_column<F: alp::AlpFloat>(
         return Ok(VERIFY_EXIT_UNREADABLE);
     }
     println!(
-        "{input}: fully repaired — {} row-groups reconstructed from parity, all {} values intact",
+        "{input}: fully repaired — {} row-groups repaired, all {} values intact",
         s.repaired_rowgroups.len(),
         s.column.len
     );
@@ -491,6 +507,16 @@ fn scrub_column<F: alp::AlpFloat>(
     Ok(VERIFY_EXIT_REPAIRED)
 }
 
+/// The stream report `alp scrub` and `alp verify` print for streams, with
+/// the verify exit codes.
+fn scrub_stream(input: &str, bytes: &[u8]) -> Result<u8> {
+    match *bytes.get(4).ok_or("file too short")? {
+        64 => scrub_stream_typed::<f64>(input, bytes),
+        32 => scrub_stream_typed::<f32>(input, bytes),
+        other => Err(format!("unsupported float width {other}").into()),
+    }
+}
+
 fn scrub_stream_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8]) -> Result<u8> {
     use alp::stream::ColumnReader;
     let mut reader = ColumnReader::<F, _>::new(bytes)?;
@@ -500,7 +526,7 @@ fn scrub_stream_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8]) -> Result<u8>
     }
     let committed = if reader.is_committed() { "committed" } else { "UNCOMMITTED" };
     for rg in reader.repaired_rowgroups() {
-        println!("  row-group {rg}: repaired from parity (checksum verified)");
+        println!("  row-group {rg}: repaired (checksum verified)");
     }
     for rg in reader.lost_rowgroups() {
         println!("  row-group {rg}: LOST (unrecoverable)");
@@ -516,7 +542,7 @@ fn scrub_stream_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8]) -> Result<u8>
         return Ok(VERIFY_EXIT_CLEAN);
     }
     println!(
-        "{input}: fully repaired — {} row-groups reconstructed from parity, all {values} values \
+        "{input}: fully repaired — {} row-groups repaired, all {values} values \
          intact ({committed} stream)",
         reader.repaired_rowgroups().len()
     );
@@ -939,6 +965,54 @@ mod tests {
         fs::write(&packed, &bytes).unwrap();
         let code = scrub(&packed, 2, false).unwrap();
         assert!(code == VERIFY_EXIT_SALVAGEABLE || code == VERIFY_EXIT_REPAIRED);
+    }
+
+    /// Whole-frame spans `(start, body_len, is_parity)` from `at` up to the
+    /// terminator or the end of the buffer.
+    fn frames(bytes: &[u8], mut at: usize) -> Vec<(usize, usize, bool)> {
+        let mut spans = Vec::new();
+        while let Some(len) = bytes.get(at..at + 4) {
+            let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+            if len == 0 || at + 12 + len > bytes.len() {
+                break;
+            }
+            spans.push((at, len, bytes[at + 12..].starts_with(b"ALPP")));
+            at += 12 + len;
+        }
+        spans
+    }
+
+    #[test]
+    fn verify_exit_codes_pin_both_parity_layouts() {
+        let input = tmp("matrix.f64");
+        let data: Vec<f64> = (0..250_000).map(|i| (i % 997) as f64 / 8.0).collect();
+        write_f64(&input, &data).unwrap();
+        let column = tmp("matrix.alp");
+        compress(&input, &column, false, Some(4)).unwrap();
+        let stream = tmp("matrix.alpt");
+        compress_stream(&input, &stream, false, 1, None, Some(4)).unwrap();
+        for (path, first) in [(column, 17usize), (stream, 5)] {
+            let clean = fs::read(&path).unwrap();
+            let data_frames: Vec<_> = frames(&clean, first).into_iter().filter(|f| !f.2).collect();
+            assert_eq!(data_frames.len(), 3, "{path}");
+            let (last, last_len, _) = data_frames[2];
+            let mut body = clean.clone();
+            body[first + 12 + 100] ^= 0xFF;
+            let mut length = clean.clone();
+            length[first + 3] ^= 0x80;
+            let truncated = clean[..last + 12 + last_len / 2].to_vec();
+            for (fault, bytes, code) in [
+                ("clean", clean.clone(), VERIFY_EXIT_CLEAN),
+                ("body byte", body, VERIFY_EXIT_REPAIRED),
+                ("length-prefix bit", length, VERIFY_EXIT_REPAIRED),
+                ("truncated tail", truncated, VERIFY_EXIT_SALVAGEABLE),
+            ] {
+                let damaged = format!("{path}.{}", fault.replace(' ', "_"));
+                fs::write(&damaged, &bytes).unwrap();
+                assert_eq!(verify_column(&damaged, 2).unwrap(), code, "{path}: {fault}");
+            }
+            inspect(&path).unwrap();
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! alp decompress <in.alp> <out.f64>             ALP column/stream -> raw LE floats
 //!                (repair-on-read: parity-reconstructible damage decompresses
 //!                byte-identically, with the repaired row-groups named)
-//! alp inspect    <in.alp>                       header, row-groups, schemes
-//! alp verify     <in.alp> [--threads N]         checksum + salvage report
+//! alp inspect    <in.alp>                       header, row-groups, schemes (column or stream)
+//! alp verify     <in.alp> [--threads N]         checksum + salvage report (column or stream)
 //!                exit codes: 0 clean, 2 damaged-but-fully-repaired,
 //!                3 salvageable, 4 unreadable, 1 error
 //! alp scrub      <in.alp> [--threads N] [--rewrite]

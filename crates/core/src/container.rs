@@ -37,6 +37,7 @@ use crate::error::CoreError;
 use crate::registry::Registry;
 use crate::scratch::Scratch;
 use alp::format::FormatError;
+use alp::parity::{self, GroupDamage};
 use alp::ParityConfig;
 
 /// Frame magic: ALP container.
@@ -125,9 +126,7 @@ fn build_parity_section(payload: &[u8], group_size: usize) -> Vec<u8> {
     for group in chunks.chunks(group_size.max(1)) {
         let mut block = vec![0u8; PARITY_CHUNK_LEN];
         for chunk in group {
-            for (b, &x) in block.iter_mut().zip(*chunk) {
-                *b ^= x;
-            }
+            parity::xor_into(&mut block, chunk);
         }
         out.extend_from_slice(&block);
     }
@@ -325,25 +324,17 @@ fn try_repair_container(
     let mut repaired_payload = payload.to_vec();
     let mut repaired_chunks = Vec::new();
     for (g, group) in verdicts.chunks(section.group_size).enumerate() {
-        let damaged: Vec<usize> = group
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !matches!(v, Some(true)))
-            .map(|(j, _)| g * section.group_size + j)
-            .collect();
-        let Some(&victim) = damaged.first() else { continue };
-        if damaged.len() != 1 {
-            return None; // >= 2 damaged chunks in one group: beyond protection
-        }
+        let first = g * section.group_size;
+        let damaged = (first..).zip(group).filter(|(_, v)| !matches!(v, Some(true)));
+        let victim = match parity::group_damage(damaged.map(|(i, _)| i)) {
+            GroupDamage::Intact => continue,
+            GroupDamage::One(victim) => victim,
+            GroupDamage::Beyond => return None,
+        };
         let block_at = g.checked_mul(section.chunk_len)?;
         let mut block = section.blocks.get(block_at..block_at + section.chunk_len)?.to_vec();
-        for i in (g * section.group_size..).take(group.len()) {
-            if i == victim {
-                continue;
-            }
-            for (b, &x) in block.iter_mut().zip(*chunks.get(i)?) {
-                *b ^= x;
-            }
+        for i in (first..first + group.len()).filter(|&i| i != victim) {
+            parity::xor_into(&mut block, chunks.get(i)?);
         }
         let start = victim.checked_mul(section.chunk_len)?;
         let slot = repaired_payload.get_mut(start..)?;
