@@ -218,31 +218,28 @@ pub fn encode_vector_into<F: AlpFloat>(
     assert!(len > 0 && len <= VECTOR_SIZE, "vector length {len} out of range");
 
     let mut encoded = [0i64; VECTOR_SIZE];
-    // Main encode loop — branch-free, auto-vectorizable.
-    for i in 0..len {
-        encoded[i] = encode_one(input[i], e, f);
-    }
-
-    // Exception detection, predicated as in Algorithm 1 (no if-then-else on
-    // the value path).
-    let mut exc_positions_buf = [0u16; VECTOR_SIZE];
-    let mut exc_count = 0usize;
-    for i in 0..len {
-        let dec: F = decode_one(encoded[i], e, f);
-        let neq = dec.to_bits_u64() != input[i].to_bits_u64();
-        exc_positions_buf[exc_count] = i as u16;
-        exc_count += neq as usize;
+    // Bit `i % 64` of word `i / 64` is set iff value `i` is an exception.
+    let mut exc_masks = [0u64; VECTOR_SIZE / 64];
+    if !encode_in_range(input, e, f, &mut encoded, &mut exc_masks) {
+        encode_scalar(input, e, f, &mut encoded, &mut exc_masks);
     }
 
     // FIND_FIRST_ENCODED: first position that is *not* an exception.
-    let first_encoded = find_first_encoded(&encoded[..len], &exc_positions_buf[..exc_count]);
+    let first_encoded = find_first_encoded(&encoded[..len], &exc_masks);
 
     // Fetch exceptions into the shared arena and patch their slots.
     let exc_start = u32::try_from(exceptions.len()).unwrap_or(u32::MAX);
     assert!(exc_start as usize == exceptions.len(), "exception arena exceeds u32 addressing");
-    for &p in &exc_positions_buf[..exc_count] {
-        exceptions.push(p, input[p as usize].to_bits_u64());
-        encoded[p as usize] = first_encoded;
+    let mut exc_count = 0usize;
+    for (block, &mask) in exc_masks.iter().enumerate() {
+        let mut m = mask;
+        while m != 0 {
+            let p = block * 64 + m.trailing_zeros() as usize;
+            exceptions.push(p as u16, input[p].to_bits_u64());
+            encoded[p] = first_encoded;
+            exc_count += 1;
+            m &= m - 1;
+        }
     }
     // Pad a short tail with the patch value (does not widen the frame).
     for slot in encoded[len..].iter_mut() {
@@ -264,6 +261,89 @@ pub fn encode_vector_into<F: AlpFloat>(
     }
 }
 
+/// `fast_round(y)` without the float-to-integer conversion, for
+/// `|y| < FAST_LIMIT`: `y + SWEET` then lies in the binade where one unit of
+/// the bit pattern is exactly 1.0, so the rounded integer is the distance of
+/// the bit patterns. Outside that range the result is meaningless.
+#[inline(always)]
+fn sweet_to_int<F: AlpFloat>(y: F) -> i64 {
+    ((y + F::SWEET).to_bits_u64() as i64).wrapping_sub(F::SWEET.to_bits_u64() as i64)
+}
+
+/// Inverse of [`sweet_to_int`]: exactly `F::from_i64(d)` for
+/// `|d| <= FAST_LIMIT`, the range the encoder's in-range integers fall in.
+#[inline(always)]
+fn sweet_from_int<F: AlpFloat>(d: i64) -> F {
+    F::from_bits_u64(d.wrapping_add(F::SWEET.to_bits_u64() as i64) as u64) - F::SWEET
+}
+
+/// The conversion-free encode kernel: encodes `input` and marks its
+/// exceptions in `exc_masks`, identical to [`encode_scalar`] — but only when
+/// every scaled value lies strictly within `±FAST_LIMIT`. Returns `false`,
+/// leaving `exc_masks` untouched, when a lane is out of range (NaN, ±inf,
+/// huge magnitudes); the caller then re-encodes with the scalar loop.
+#[inline(always)]
+fn encode_in_range<F: AlpFloat>(
+    input: &[F],
+    e: u8,
+    f: u8,
+    encoded: &mut [i64; VECTOR_SIZE],
+    exc_masks: &mut [u64; VECTOR_SIZE / 64],
+) -> bool {
+    let (enc_e, enc_f) = (F::f10(e), F::if10(f));
+    let (dec_f, dec_e) = (F::f10(f), F::if10(e));
+    let mut in_range = true;
+    for (slot, &n) in encoded.iter_mut().zip(input) {
+        let y = n * enc_e * enc_f;
+        in_range &= y.abs() < F::FAST_LIMIT;
+        *slot = sweet_to_int(y);
+    }
+    if !in_range {
+        return false;
+    }
+    mark_exceptions(input, encoded, exc_masks, |d| sweet_from_int::<F>(d) * dec_f * dec_e);
+    true
+}
+
+/// The reference encode loop: `encode_one`, then `decode_one` to verify,
+/// for any input — NaN, ±inf and huge values included.
+fn encode_scalar<F: AlpFloat>(
+    input: &[F],
+    e: u8,
+    f: u8,
+    encoded: &mut [i64; VECTOR_SIZE],
+    exc_masks: &mut [u64; VECTOR_SIZE / 64],
+) {
+    for (slot, &n) in encoded.iter_mut().zip(input) {
+        *slot = encode_one(n, e, f);
+    }
+    mark_exceptions(input, encoded, exc_masks, |d| decode_one::<F>(d, e, f));
+}
+
+/// Sets bit `i % 64` of word `i / 64` of the (zeroed) `exc_masks` for every
+/// value `i` of `input` that `decode(encoded[i])` does not reproduce
+/// bit-for-bit. Lanes are compared eight at a time with constant shifts, a
+/// form the compiler vectorizes.
+#[inline(always)]
+fn mark_exceptions<F: AlpFloat>(
+    input: &[F],
+    encoded: &[i64; VECTOR_SIZE],
+    exc_masks: &mut [u64; VECTOR_SIZE / 64],
+    decode: impl Fn(i64) -> F,
+) {
+    let differs = |n: F, d: i64| (decode(d).to_bits_u64() != n.to_bits_u64()) as u64;
+    for (c, (values, ints)) in input.chunks_exact(8).zip(encoded.chunks_exact(8)).enumerate() {
+        let mut byte = 0u64;
+        for k in 0..8 {
+            byte |= differs(values[k], ints[k]) << k;
+        }
+        exc_masks[c / 8] |= byte << (8 * (c % 8));
+    }
+    for i in input.len() / 8 * 8..input.len() {
+        exc_masks[i / 64] |= differs(input[i], encoded[i]) << (i % 64);
+    }
+}
+
 /// Encodes one vector into a fresh private arena — see [`encode_vector_into`]
 /// for the shared-arena hot path.
 pub fn encode_vector<F: AlpFloat>(input: &[F], e: u8, f: u8) -> OwnedAlpVector {
@@ -272,16 +352,16 @@ pub fn encode_vector<F: AlpFloat>(input: &[F], e: u8, f: u8) -> OwnedAlpVector {
     OwnedAlpVector { vector, exceptions }
 }
 
-/// Returns the first encoded integer whose position is not in the (sorted)
-/// exception list, or 0 if every value is an exception.
-fn find_first_encoded(encoded: &[i64], exc_positions: &[u16]) -> i64 {
-    let mut exc_iter = exc_positions.iter().peekable();
-    for (i, &d) in encoded.iter().enumerate() {
-        match exc_iter.peek() {
-            Some(&&p) if p as usize == i => {
-                exc_iter.next();
-            }
-            _ => return d,
+/// Returns the first encoded integer whose position is not marked in
+/// `exc_masks`, or 0 if every value is an exception.
+fn find_first_encoded(encoded: &[i64], exc_masks: &[u64; VECTOR_SIZE / 64]) -> i64 {
+    for (block, &mask) in exc_masks.iter().enumerate() {
+        let i = block * 64 + mask.trailing_ones() as usize;
+        if i >= encoded.len() {
+            break;
+        }
+        if mask != u64::MAX {
+            return encoded[i];
         }
     }
     0
@@ -385,9 +465,142 @@ mod tests {
     #[test]
     fn find_first_encoded_skips_leading_exceptions() {
         let encoded = [7i64, 8, 9];
-        assert_eq!(find_first_encoded(&encoded, &[0, 1]), 9);
-        assert_eq!(find_first_encoded(&encoded, &[]), 7);
-        assert_eq!(find_first_encoded(&encoded, &[0, 1, 2]), 0);
+        let masks = |m: u64| {
+            let mut all = [0u64; VECTOR_SIZE / 64];
+            all[0] = m;
+            all
+        };
+        assert_eq!(find_first_encoded(&encoded, &masks(0b011)), 9);
+        assert_eq!(find_first_encoded(&encoded, &masks(0)), 7);
+        assert_eq!(find_first_encoded(&encoded, &masks(0b111)), 0);
+        let long: Vec<i64> = (0..130).collect();
+        let mut two_blocks = [0u64; VECTOR_SIZE / 64];
+        two_blocks[0] = u64::MAX;
+        two_blocks[1] = 0b1;
+        assert_eq!(find_first_encoded(&long, &two_blocks), 65);
+        two_blocks[1] = u64::MAX;
+        two_blocks[2] = 0b11;
+        assert_eq!(find_first_encoded(&long, &two_blocks), 0);
+    }
+
+    /// Values on and around the fast conversions' range limits, plus the
+    /// specials that must take the scalar path.
+    fn boundary_f64() -> Vec<f64> {
+        let limit = 2f64.powi(51);
+        vec![
+            limit,
+            -limit,
+            limit - 1.0,
+            -(limit - 1.0),
+            2f64.powi(52),
+            -(2f64.powi(52)),
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            0.5,
+            -2.5,
+            1e300,
+        ]
+    }
+
+    fn boundary_f32() -> Vec<f32> {
+        let limit = 2f32.powi(22);
+        vec![
+            limit,
+            -limit,
+            limit - 1.0,
+            -(limit - 1.0),
+            2f32.powi(23),
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            0.5,
+            -2.5,
+        ]
+    }
+
+    /// Inside the range the bit-pattern conversions are the casts.
+    fn assert_sweet_conversions<F: AlpFloat>(values: &[F]) {
+        for &y in values.iter().filter(|y| y.abs() < F::FAST_LIMIT) {
+            let d = fast_round(y);
+            assert_eq!(sweet_to_int(y), d, "{y:?}");
+            assert_eq!(sweet_from_int::<F>(d).to_bits_u64(), F::from_i64(d).to_bits_u64());
+        }
+    }
+
+    #[test]
+    fn sweet_conversions_are_exact_inside_the_range() {
+        assert_sweet_conversions(&boundary_f64());
+        assert_sweet_conversions(&boundary_f32());
+        // ±2^51 and ±(2^51 − 1) integers convert back exactly too.
+        for d in [(1i64 << 51) - 1, -((1i64 << 51) - 1), 1 << 51, -(1 << 51)] {
+            assert_eq!(sweet_from_int::<f64>(d), d as f64);
+        }
+        for d in [(1i64 << 22) - 1, -((1i64 << 22) - 1), 1 << 22, -(1 << 22)] {
+            assert_eq!(sweet_from_int::<f32>(d), d as f32);
+        }
+        // Just outside, the bit-pattern distance is no longer the integer.
+        assert_ne!(sweet_to_int(2f64.powi(52)), fast_round(2f64.powi(52)));
+        assert_ne!(sweet_to_int(2f32.powi(23)), fast_round(2f32.powi(23)));
+    }
+
+    /// Every boundary value, alone among decimals and at several `(e, f)`:
+    /// the vector encoder (fast path or scalar fallback) agrees with the
+    /// scalar reference lane by lane.
+    fn assert_encoder_matches_scalar<F: AlpFloat>(specials: &[F], filler: F) {
+        for &special in specials {
+            for len in [1usize, 7, 64, 1000, VECTOR_SIZE] {
+                let mut input = vec![filler; len];
+                input[len / 2] = special;
+                for (e, f) in [(0u8, 0u8), (2, 0), (F::MAX_EXPONENT, 3), (8, 8)] {
+                    let (mut enc, mut masks) = ([0i64; VECTOR_SIZE], [0u64; VECTOR_SIZE / 64]);
+                    encode_scalar(&input, e, f, &mut enc, &mut masks);
+                    let (mut fast, mut fast_masks) =
+                        ([0i64; VECTOR_SIZE], [0u64; VECTOR_SIZE / 64]);
+                    if encode_in_range(&input, e, f, &mut fast, &mut fast_masks) {
+                        assert_eq!((fast, fast_masks), (enc, masks), "{special:?} e{e} f{f}");
+                    }
+                    let v = encode_vector(&input, e, f);
+                    let expected: Vec<u16> = (0..len)
+                        .filter(|&i| {
+                            decode_one::<F>(encode_one(input[i], e, f), e, f).to_bits_u64()
+                                != input[i].to_bits_u64()
+                        })
+                        .map(|i| i as u16)
+                        .collect();
+                    assert_eq!(v.exc_positions(), &expected[..], "{special:?} e{e} f{f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_scalar_reference_at_the_range_limits() {
+        assert_encoder_matches_scalar(&boundary_f64(), 12.25f64);
+        assert_encoder_matches_scalar(&boundary_f32(), 12.25f32);
+    }
+
+    #[test]
+    fn out_of_range_lanes_take_the_scalar_path() {
+        let (mut enc, mut masks) = ([0i64; VECTOR_SIZE], [0u64; VECTOR_SIZE / 64]);
+        for special in [f64::NAN, f64::INFINITY, 2f64.powi(51), 1e17] {
+            let mut input = vec![1.5f64; 100];
+            input[99] = special;
+            assert!(!encode_in_range(&input, 0, 0, &mut enc, &mut masks), "{special}");
+        }
+        let input = vec![1.5f64; 100];
+        assert!(encode_in_range(&input, 1, 0, &mut enc, &mut masks));
+        // 1e17 is an integer the scalar path encodes without exception.
+        let huge = encode_vector(&[1e17f64, 3.0, -4.0], 0, 0);
+        assert_eq!(huge.exception_count(), 0);
     }
 
     #[test]

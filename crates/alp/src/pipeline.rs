@@ -9,10 +9,14 @@
 //!
 //! - the **caller thread** fills row-group buffers from the source and
 //!   commits finished frames to the sink, in row-group order, through the
-//!   serial writer's own retry machinery;
-//! - a small **worker pool** compresses and frame-encodes row-groups, each
-//!   inside the morsel scheduler's panic containment seam
-//!   ([`crate::par::run_morsels_contained`]).
+//!   serial writer's own retry machinery. While the next frame to commit is
+//!   not finished it does not sleep: it compresses the oldest pending
+//!   row-group itself, so with `threads: 2` both threads compress;
+//! - a small **worker pool** compresses and frame-encodes row-groups.
+//!
+//! Every row-group, whichever thread compresses it, runs inside the morsel
+//! scheduler's panic containment seam
+//! ([`crate::par::run_morsels_contained`]).
 //!
 //! Three invariants make the overlap safe:
 //!
@@ -27,7 +31,7 @@
 //!    queued or compressing at once; a full pipeline makes
 //!    [`PipelinedColumnWriter::push`] block committing finished frames
 //!    (back-pressure) rather than queueing without bound.
-//! 3. **Quarantined panics.** A worker panic is contained at the morsel
+//! 3. **Quarantined panics.** A compression panic is contained at the morsel
 //!    boundary and surfaces as [`IngestError::Poisoned`] from `push` or
 //!    `finish` — the poisoned frame is never written, so the sink holds a
 //!    committed-prefix-only torn tail, exactly the failure shape
@@ -200,6 +204,9 @@ fn lock_state<F>(shared: &Shared<F>) -> MutexGuard<'_, PipeState<F>> {
 struct Pool<F> {
     shared: Arc<Shared<F>>,
     workers: Vec<JoinHandle<()>>,
+    /// The caller thread's own copy: it compresses pending row-groups while
+    /// it waits for the next frame to commit.
+    encoder: FrameEncoder,
     depth: usize,
     /// Sequence number the next submitted row-group receives.
     next_seq: u64,
@@ -208,13 +215,7 @@ struct Pool<F> {
 }
 
 impl<F: AlpFloat> Pool<F> {
-    fn spawn(
-        compressor: Compressor,
-        version: StreamVersion,
-        threads: usize,
-        depth: usize,
-        panic_at: Option<u64>,
-    ) -> Self {
+    fn spawn(encoder: FrameEncoder, workers: usize, depth: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(PipeState {
                 pending: VecDeque::new(),
@@ -224,19 +225,14 @@ impl<F: AlpFloat> Pool<F> {
             jobs_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        // More workers than in-flight slots can never all be busy; the
-        // caller thread is reserved for fill + commit.
-        let workers = (threads - 1).clamp(1, depth);
         let handles = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                let compressor = compressor.clone();
-                std::thread::spawn(move || {
-                    worker_loop::<F>(&shared, &compressor, version, panic_at)
-                })
+                let encoder = encoder.clone();
+                std::thread::spawn(move || worker_loop::<F>(&shared, &encoder))
             })
             .collect();
-        Self { shared, workers: handles, depth, next_seq: 0, next_commit: 0 }
+        Self { shared, workers: handles, encoder, depth, next_seq: 0, next_commit: 0 }
     }
 
     /// Row-groups submitted but not yet committed.
@@ -254,23 +250,32 @@ impl<F: AlpFloat> Pool<F> {
         self.shared.jobs_cv.notify_one();
     }
 
-    /// Blocks until the next in-order batch is finished and returns it.
+    /// Returns the next in-order batch once it is finished. Until then the
+    /// caller compresses pending row-groups itself, and sleeps only when
+    /// every in-flight row-group is already being compressed by a worker.
     fn take_next_done(&mut self) -> Result<EncodedFrames, MorselFailure> {
         let seq = self.next_commit;
-        let outcome = {
-            let mut state = lock_state(&self.shared);
-            loop {
-                if let Some(outcome) = state.done.remove(&seq) {
-                    break outcome;
+        loop {
+            let (job_seq, data) = {
+                let mut state = lock_state(&self.shared);
+                loop {
+                    if let Some(outcome) = state.done.remove(&seq) {
+                        self.next_commit += 1;
+                        return outcome;
+                    }
+                    if let Some(job) = state.pending.pop_front() {
+                        break job;
+                    }
+                    state = match self.shared.done_cv.wait(state) {
+                        Ok(guard) => guard,
+                        Err(poisoned) => poisoned.into_inner(),
+                    };
                 }
-                state = match self.shared.done_cv.wait(state) {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-            }
-        };
-        self.next_commit += 1;
-        outcome
+            };
+            // The state lock is released: workers keep claiming and
+            // publishing while the caller compresses.
+            publish(&self.shared, job_seq, self.encoder.encode_contained(job_seq, &data));
+        }
     }
 }
 
@@ -295,12 +300,7 @@ impl<F> Drop for Pool<F> {
 
 /// Body of one pool worker: claim the oldest pending row-group, compress and
 /// frame it inside the containment seam, publish the outcome, repeat.
-fn worker_loop<F: AlpFloat>(
-    shared: &Shared<F>,
-    compressor: &Compressor,
-    version: StreamVersion,
-    panic_at: Option<u64>,
-) {
+fn worker_loop<F: AlpFloat>(shared: &Shared<F>, encoder: &FrameEncoder) {
     loop {
         let job = {
             let mut state = lock_state(shared);
@@ -318,50 +318,69 @@ fn worker_loop<F: AlpFloat>(
             }
         };
         let Some((seq, data)) = job else { return };
-        let outcome = encode_contained::<F>(seq, &data, compressor, version, panic_at);
-        {
-            let mut state = lock_state(shared);
-            state.done.insert(seq, outcome);
-        }
-        // The committer may be waiting for any sequence number: wake it.
-        shared.done_cv.notify_all();
+        publish(shared, seq, encoder.encode_contained(seq, &data));
     }
 }
 
-/// Compresses one row-group buffer into ready-to-commit frames, inside the
-/// morsel scheduler's panic containment seam: a panic (the compressor's or
-/// the injected `panic_at`) becomes a [`MorselFailure`] carrying `seq`.
-fn encode_contained<F: AlpFloat>(
-    seq: u64,
-    data: &[F],
-    compressor: &Compressor,
-    version: StreamVersion,
-    panic_at: Option<u64>,
-) -> Result<EncodedFrames, MorselFailure> {
-    let (mut completed, mut failures) = run_morsels_contained(
-        1,
-        1,
-        || (),
-        |_, _| {
-            if panic_at == Some(seq) {
-                panic!("injected pipeline fault at row-group {seq}");
-            }
-            let compressed = compressor.compress(data);
-            let mut bytes = Vec::new();
-            for rg in &compressed.rowgroups {
-                encode_frame::<F>(rg, version, &mut bytes);
-            }
-            EncodedFrames { bytes, values: data.len(), rowgroups: compressed.rowgroups.len() }
-        },
-    );
-    if let Some((_, frames)) = completed.pop() {
-        return Ok(frames);
+/// Records a finished (or quarantined) row-group and wakes the committer.
+fn publish<F>(shared: &Shared<F>, seq: u64, outcome: Result<EncodedFrames, MorselFailure>) {
+    {
+        let mut state = lock_state(shared);
+        state.done.insert(seq, outcome);
     }
-    let message = failures
-        .pop()
-        .map(|f| f.message)
-        .unwrap_or_else(|| "worker produced neither result nor failure".to_string());
-    Err(MorselFailure { morsel: seq as usize, message })
+    // The committer may be waiting for any sequence number: wake it.
+    shared.done_cv.notify_all();
+}
+
+/// Everything a compressing thread needs besides the queue. The workers and
+/// the caller thread each hold a copy, so every row-group, whoever
+/// compresses it, goes through the same [`FrameEncoder::encode_contained`] seam.
+#[derive(Clone)]
+struct FrameEncoder {
+    compressor: Compressor,
+    version: StreamVersion,
+    /// Fault injection: see [`PipelineConfig::panic_at`].
+    panic_at: Option<u64>,
+}
+
+impl FrameEncoder {
+    /// Compresses one row-group buffer into ready-to-commit frames, inside
+    /// the morsel scheduler's panic containment seam: a panic (the
+    /// compressor's or the injected `panic_at`) becomes a [`MorselFailure`]
+    /// carrying `seq`.
+    fn encode_contained<F: AlpFloat>(
+        &self,
+        seq: u64,
+        data: &[F],
+    ) -> Result<EncodedFrames, MorselFailure> {
+        let (mut completed, mut failures) = run_morsels_contained(
+            1,
+            1,
+            || (),
+            |_, _| {
+                if self.panic_at == Some(seq) {
+                    // ANALYZER-ALLOW(no-panic): the injected fault of
+                    // `panic_at`; this closure runs inside the containment
+                    // seam, which returns the panic as a `MorselFailure`.
+                    panic!("injected pipeline fault at row-group {seq}");
+                }
+                let compressed = self.compressor.compress(data);
+                let mut bytes = Vec::new();
+                for rg in &compressed.rowgroups {
+                    encode_frame::<F>(rg, self.version, &mut bytes);
+                }
+                EncodedFrames { bytes, values: data.len(), rowgroups: compressed.rowgroups.len() }
+            },
+        );
+        if let Some((_, frames)) = completed.pop() {
+            return Ok(frames);
+        }
+        let message = failures
+            .pop()
+            .map(|f| f.message)
+            .unwrap_or_else(|| "worker produced neither result nor failure".to_string());
+        Err(MorselFailure { morsel: seq as usize, message })
+    }
 }
 
 /// Double-buffered, pool-backed column writer: same stream bytes as
@@ -423,13 +442,17 @@ impl<F: AlpFloat, W: Write> PipelinedColumnWriter<F, W> {
     fn build(inner: ColumnWriter<F, W>, config: PipelineConfig) -> Self {
         let rowgroup_values = inner.flush_values();
         let pool = (config.threads > 1).then(|| {
-            Pool::spawn(
-                inner.compressor().clone(),
-                inner.version(),
-                config.threads,
-                config.depth.max(1),
-                config.panic_at,
-            )
+            let encoder = FrameEncoder {
+                compressor: inner.compressor().clone(),
+                version: inner.version(),
+                panic_at: config.panic_at,
+            };
+            let depth = config.depth.max(1);
+            // The caller thread is one of the `threads`: it fills buffers
+            // and commits frames, and compresses pending row-groups whenever
+            // the next frame to commit is not done yet. More workers than
+            // in-flight slots can never all be busy.
+            Pool::spawn(encoder, (config.threads - 1).clamp(1, depth), depth)
         });
         Self {
             inner,
@@ -619,6 +642,38 @@ mod tests {
         assert!(restored.len() <= 2 * 4 * VECTOR_SIZE);
         for (a, b) in data.iter().zip(&restored) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn caller_thread_compresses_and_quarantines_its_own_panic() {
+        // A pool without workers: the caller thread compresses every
+        // row-group itself, the poisoned one included.
+        let data: Vec<f64> = (0..4 * VECTOR_SIZE * 5).map(|i| i as f64 / 4.0).collect();
+        for depth in [1usize, 2, 4] {
+            let config = PipelineConfig { threads: 2, depth, panic_at: Some(2) };
+            let mut out = Vec::new();
+            let mut writer =
+                PipelinedColumnWriter::<f64, _>::with_params(&mut out, small_params(), config)
+                    .unwrap();
+            let encoder = writer.pool.as_ref().unwrap().encoder.clone();
+            writer.pool = Some(Pool::spawn(encoder, 0, depth));
+            let err = match writer.push(&data) {
+                Err(e) => e,
+                Ok(()) => writer.finish().expect_err("the poisoned row-group must surface"),
+            };
+            match err {
+                IngestError::Poisoned(failure) => assert_eq!(failure.morsel, 2, "depth {depth}"),
+                other => panic!("expected Poisoned, got {other:?}"),
+            }
+            // Row-groups 0 and 1 committed whole; nothing of row-group 2.
+            let mut reader = ColumnReader::<f64, _>::new(&out[..]).unwrap();
+            let mut restored = Vec::new();
+            while let Some(values) = reader.next_rowgroup_salvaged().unwrap() {
+                restored.extend(values);
+            }
+            assert!(!reader.is_committed());
+            assert_eq!(restored, data[..2 * 4 * VECTOR_SIZE], "depth {depth}");
         }
     }
 

@@ -30,6 +30,10 @@ pub trait AlpFloat:
     /// `2^51 + 2^52` for doubles, `2^22 + 2^23` for floats: adding and
     /// subtracting this constant rounds to nearest integer (§3.1).
     const SWEET: Self;
+    /// `2^51` for doubles, `2^22` for floats: for `|y|` below it, `y + SWEET`
+    /// lands in the binade where one unit of the bit pattern is exactly 1.0,
+    /// so the bit pattern itself converts to and from the rounded integer.
+    const FAST_LIMIT: Self;
     /// Human-readable name for reports ("f64" / "f32").
     const NAME: &'static str;
 
@@ -45,6 +49,8 @@ pub trait AlpFloat:
     fn from_i64(v: i64) -> Self;
     /// Saturating cast to `i64` (Rust `as` semantics: NaN → 0).
     fn to_i64_cast(self) -> i64;
+    /// Absolute value (clears the sign bit; NaN stays NaN).
+    fn abs(self) -> Self;
     /// True iff the value is NaN — the "invalid" state of the fused-scan
     /// validity bitmaps.
     fn is_nan(self) -> bool;
@@ -67,6 +73,7 @@ impl AlpFloat for f64 {
     const BITS: u32 = 64;
     const MAX_EXPONENT: u8 = 21;
     const SWEET: f64 = 6755399441055744.0; // 2^51 + 2^52
+    const FAST_LIMIT: f64 = 2251799813685248.0; // 2^51
     const NAME: &'static str = "f64";
 
     #[inline(always)]
@@ -94,6 +101,10 @@ impl AlpFloat for f64 {
         self as i64
     }
     #[inline(always)]
+    fn abs(self) -> f64 {
+        f64::abs(self)
+    }
+    #[inline(always)]
     fn is_nan(self) -> bool {
         f64::is_nan(self)
     }
@@ -109,6 +120,7 @@ impl AlpFloat for f32 {
     const BITS: u32 = 32;
     const MAX_EXPONENT: u8 = 10;
     const SWEET: f32 = 12582912.0; // 2^22 + 2^23
+    const FAST_LIMIT: f32 = 4194304.0; // 2^22
     const NAME: &'static str = "f32";
 
     #[inline(always)]
@@ -134,6 +146,10 @@ impl AlpFloat for f32 {
     #[inline(always)]
     fn to_i64_cast(self) -> i64 {
         self as i64
+    }
+    #[inline(always)]
+    fn abs(self) -> f32 {
+        f32::abs(self)
     }
     #[inline(always)]
     fn is_nan(self) -> bool {
@@ -174,6 +190,8 @@ mod tests {
     fn sweet_constants() {
         assert_eq!(f64::SWEET, (1u64 << 51) as f64 + (1u64 << 52) as f64);
         assert_eq!(f32::SWEET, (1u32 << 22) as f32 + (1u32 << 23) as f32);
+        assert_eq!(f64::FAST_LIMIT, (1u64 << 51) as f64);
+        assert_eq!(f32::FAST_LIMIT, (1u32 << 22) as f32);
     }
 
     #[test]

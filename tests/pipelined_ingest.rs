@@ -175,10 +175,26 @@ fn pipelined_torn_write_salvages_committed_prefix() {
 /// holds only whole frames from before the poisoned row-group.
 #[test]
 fn worker_panic_quarantines_and_leaves_salvageable_sink() {
+    assert_panic_quarantined(4, 2, 3);
+}
+
+/// At two threads the caller thread compresses row-groups too, whenever the
+/// next frame to commit is not done: whichever thread compresses the
+/// poisoned row-group, the failure carries its sequence number and the sink
+/// holds only whole frames from before it.
+#[test]
+fn caller_thread_panic_quarantines_at_two_threads() {
+    for depth in [1usize, 2, 4] {
+        for poison_seq in [0u64, 1, 3, 6] {
+            assert_panic_quarantined(2, depth, poison_seq);
+        }
+    }
+}
+
+fn assert_panic_quarantined(threads: usize, depth: usize, poison_seq: u64) {
     let data = dataset();
-    let poison_seq = 3u64;
     let mut sink = Vec::new();
-    let config = PipelineConfig { threads: 4, depth: 2, panic_at: Some(poison_seq) };
+    let config = PipelineConfig { threads, depth, panic_at: Some(poison_seq) };
     let mut writer = PipelinedColumnWriter::<f64, _>::with_params(&mut sink, params(), config)
         .expect("valid params");
     let mut outcome = Ok(());
@@ -200,7 +216,10 @@ fn worker_panic_quarantines_and_leaves_salvageable_sink() {
     };
     match err {
         IngestError::Poisoned(failure) => {
-            assert_eq!(failure.morsel, poison_seq as usize, "failure names the row-group");
+            assert_eq!(
+                failure.morsel, poison_seq as usize,
+                "failure names the row-group (threads {threads}, depth {depth})"
+            );
             assert!(
                 failure.message.contains("injected pipeline fault"),
                 "failure carries the rendered panic message, got {:?}",
@@ -211,7 +230,12 @@ fn worker_panic_quarantines_and_leaves_salvageable_sink() {
     }
 
     // Never a torn frame: the sink salvage-reads to a whole-row-group prefix
-    // of the column, and only row-groups before the poisoned one.
+    // of the column, and only row-groups before the poisoned one. The header
+    // goes out with the first commit, so a poisoned first row-group leaves
+    // the sink empty.
+    if poison_seq == 0 && sink.is_empty() {
+        return;
+    }
     let mut reader = ColumnReader::<f64, _>::new(sink.as_slice()).expect("open poisoned sink");
     let mut restored = Vec::new();
     while let Some(values) = reader.next_rowgroup_salvaged().expect("salvage poisoned") {
